@@ -13,7 +13,7 @@ layer consists of singleton brackets across all its factors.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, homology_dim
+from .linalg import SparseMatrix, homology_by_blocks
 from .rationals import QQ, ZERO
 
 __all__ = ["BarLevel", "CapOverflowError", "bar_level_basis", "face_map",
@@ -379,19 +379,16 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
                 raise CapOverflowError(
                     "bar complex exceeds budget %d at level %d"
                     % (budget, lev))
-    matrices = {}
-    for lev in range(1, deg_cap + 2):
-        for w in range(weight_cap + 1):
-            if n == 1:
-                matrices[(lev, w)] = _block_matrix(
-                    A, ideal, lev, w, cache, unit_index)
-            else:
-                matrices[(lev, w)] = _decorated_block_matrix(
-                    A, ideal, lev, w, cache, unit_index, n)
-    table = BettiTable(deg_cap, weight_cap)
-    for lev in range(deg_cap + 1):
-        for w in range(weight_cap + 1):
-            d_out = matrices.get((lev, w)) or SparseMatrix(0, mid_dim(lev, w))
-            d_in = matrices[(lev + 1, w)]
-            table.set(lev, w, homology_dim(d_out, d_in, check=check))
-    return table
+
+    def block(lev, w):
+        if lev == 0:
+            return SparseMatrix(0, mid_dim(0, w))
+        if n == 1:
+            return _block_matrix(A, ideal, lev, w, cache, unit_index)
+        return _decorated_block_matrix(A, ideal, lev, w, cache, unit_index,
+                                       n)
+
+    positions = [(lev, w) for lev in range(deg_cap + 1)
+                 for w in range(weight_cap + 1)]
+    return BettiTable(deg_cap, weight_cap,
+                      homology_by_blocks(positions, block, 0, check))

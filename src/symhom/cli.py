@@ -53,7 +53,7 @@ def load_algebra(name, weight_cap):
     if head == "ut2":
         return upper_triangular_algebra()
     if os.path.exists(name):
-        return FinDimAlgebra.from_json(open(name).read())
+        return _parse_input(name, FinDimAlgebra.from_json, "algebra")
     raise SystemExit("unknown algebra input: %s" % name)
 
 
@@ -64,7 +64,7 @@ def load_resolution(name, deg_cap):
     if head == "free":
         return free_resolution_of_tensor_algebra(arg or 1)
     if os.path.exists(name):
-        return FreeDGAlgebra.from_json(open(name).read())
+        return _parse_input(name, FreeDGAlgebra.from_json, "resolution")
     raise SystemExit("unknown resolution input: %s" % name)
 
 
@@ -79,12 +79,32 @@ def load_lie(name):
     if head in ("abelian", "poly"):
         return abelian_lie(arg or 1)
     if os.path.exists(name):
-        return DGLie.from_json(open(name).read())
+        return _parse_input(name, DGLie.from_json, "Lie")
     raise SystemExit("unknown Lie input: %s" % name)
 
 
+def _parse_input(path, parse, kind):
+    """parse(text of the file at path); malformed JSON, a missing key or a
+    value of the wrong shape becomes a ValueError that names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s input %s is not valid JSON: %s"
+                         % (kind, path, exc)) from None
+    except KeyError as exc:
+        raise ValueError("%s input %s: missing or unknown key %s"
+                         % (kind, path, exc)) from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("%s input %s is malformed: %s"
+                         % (kind, path, exc)) from None
+
+
 def _sniff_json(path):
-    data = json.loads(open(path).read())
+    data = _parse_input(path, json.loads, "JSON")
+    if not isinstance(data, dict):
+        raise ValueError("JSON input %s is not an object" % path)
     if "generators" in data:
         return "resolution"
     if "mult" in data:
@@ -126,10 +146,15 @@ def _cache_get(args, job):
     if not d:
         return None
     path = os.path.join(d, _digest(job) + ".json")
-    if os.path.exists(path):
-        record = json.loads(open(path).read())
-        return record
-    return None
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError):
+        return None  # absent or unreadable: a miss, rewritten by _cache_put
+    if not isinstance(record, dict) or record.get("job") != job \
+            or "result" not in record:
+        return None
+    return record
 
 
 def _cache_put(args, job, result, wall):
@@ -140,8 +165,12 @@ def _cache_put(args, job, result, wall):
     record = {"digest": _digest(job), "job": job, "result": result,
               "wall_time": wall, "version": __version__}
     path = os.path.join(d, _digest(job) + ".json")
-    with open(path, "w") as fh:
+    # write a private temp file and rename it over the entry, so a reader
+    # never sees a half-written entry
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    with open(tmp, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
 
 
 # output -----------------------------------------------------------------

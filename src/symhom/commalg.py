@@ -6,11 +6,15 @@ generators square to zero and reordering follows the Koszul rule.  The
 differential must be homogeneous: it lowers homological degree by 1 and
 shifts weight by a fixed amount (0 for honest weight gradings, -1 for the
 abelianized cobar of a plain Lie algebra).
+
+homology_table hands its blocks to linalg.homology_by_blocks, which
+builds and ranks each block once; the block bases are enumerated once per
+call through a memo that lives only for that call.
 """
 
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
-from .linalg import SparseMatrix, homology_dim
+from .linalg import SparseMatrix, homology_by_blocks
 from .rationals import QQ, ZERO
 
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
@@ -111,16 +115,28 @@ class CommDGAlgebra:
         return out
 
     def d(self, p):
-        """Derivation differential of a polynomial."""
+        """Derivation differential of a polynomial.
+
+        Each term pre . d(g) . post is sorted once; its Koszul sign is the
+        product of the signs of sorting pre . d(g) and then the rest.
+        """
         out = {}
         for mono, c in p.items():
             sign = QQ(c)
             for r, i in enumerate(mono):
                 dg = self.differential.get(i)
                 if dg is not None:
-                    term = self.mul({mono[:r]: sign}, dg)
-                    term = self.mul(term, {mono[r + 1:]: QQ(1)})
-                    out = self.add(out, term)
+                    pre, post = mono[:r], mono[r + 1:]
+                    for m, cg in dg.items():
+                        s, word = sort_word(pre + m + post, self.parities)
+                        if not s:
+                            continue
+                        term = sign * cg
+                        v = out.get(word, ZERO) + (term if s > 0 else -term)
+                        if v:
+                            out[word] = v
+                        elif word in out:
+                            del out[word]
                 if self.parities[i]:
                     sign = -sign
         return out
@@ -159,10 +175,15 @@ class CommDGAlgebra:
     def monomial_names(self, mono):
         return tuple(self.generators[i].name for i in mono)
 
-    def block_matrix(self, hdeg, weight):
-        """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift)."""
-        src = self.monomial_basis(hdeg, weight)
-        tgt = self.monomial_basis(hdeg - 1, weight + self.weight_shift)
+    def block_matrix(self, hdeg, weight, basis=None):
+        """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift).
+
+        basis(h, w) supplies the block bases; it defaults to
+        monomial_basis, and homology_table passes a per-call memo of it.
+        """
+        basis = basis or self.monomial_basis
+        src = basis(hdeg, weight)
+        tgt = basis(hdeg - 1, weight + self.weight_shift)
         tgt_index = {m: r for r, m in enumerate(tgt)}
         entries = {}
         for c, mono in enumerate(src):
@@ -170,18 +191,26 @@ class CommDGAlgebra:
                 entries[(tgt_index[m], c)] = v
         return SparseMatrix(len(tgt), len(src), entries)
 
-    def homology_dim_at(self, hdeg, weight, check=True):
-        d_out = self.block_matrix(hdeg, weight)
-        d_in = self.block_matrix(hdeg + 1, weight - self.weight_shift)
-        return homology_dim(d_out, d_in, check=check)
+    def _homology(self, positions, check=True):
+        """{(h, w): dim} through the shared block driver; each basis is
+        enumerated once per call."""
+        bases = {}
+
+        def basis(h, w):
+            if (h, w) not in bases:
+                bases[(h, w)] = self.monomial_basis(h, w)
+            return bases[(h, w)]
+
+        return homology_by_blocks(
+            positions, lambda h, w: self.block_matrix(h, w, basis),
+            self.weight_shift, check)
 
     def homology_table(self, deg_cap, weight_cap, check=True):
         """BettiTable of blockwise homology, exact within the caps."""
-        table = BettiTable(deg_cap, weight_cap)
-        for h in range(deg_cap + 1):
-            for w in range(weight_cap + 1):
-                table.set(h, w, self.homology_dim_at(h, w, check=check))
-        return table
+        positions = [(h, w) for h in range(deg_cap + 1)
+                     for w in range(weight_cap + 1)]
+        return BettiTable(deg_cap, weight_cap,
+                          self._homology(positions, check))
 
     def euler_check(self, weight, deg_cap):
         """Per-weight Euler characteristic conservation.
@@ -196,9 +225,9 @@ class CommDGAlgebra:
         if dims[deg_cap + 1]:
             raise ValueError("weight %d block extends beyond deg_cap" % weight)
         chi_complex = sum((-1) ** h * dims[h] for h in range(deg_cap + 1))
-        chi_homology = sum(
-            (-1) ** h * self.homology_dim_at(h, weight)
-            for h in range(deg_cap + 1))
+        homology = self._homology([(h, weight) for h in range(deg_cap + 1)])
+        chi_homology = sum((-1) ** h * dim
+                           for (h, _), dim in homology.items())
         return chi_complex == chi_homology
 
 

@@ -14,7 +14,7 @@ exterior length (the differential drops it by exactly 1).
 from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
-from .linalg import SparseMatrix, homology_dim
+from .linalg import SparseMatrix, homology_by_blocks
 from .rationals import QQ, ZERO, qq
 
 import json
@@ -284,26 +284,30 @@ def ce_complex(a, cap):
     return C
 
 
-def _ce_block(C, h):
-    src = C.words_of_hdeg(h)
-    tgt = C.words_of_hdeg(h - 1)
-    ti = {w: r for r, w in enumerate(tgt)}
-    entries = {}
-    for c, w in enumerate(src):
-        for w2, v in C.diff(w).items():
-            entries[(ti[w2], c)] = v
-    return SparseMatrix(len(tgt), len(src), entries)
+def _ce_dims(C, positions, words, shift):
+    """Homology dimensions at the given positions of the CE complex graded
+    by words(h, w): sorted wedge words of degree h in group w, where d
+    maps group w to group w + shift."""
+
+    def block(h, w):
+        src = words(h, w)
+        tgt = words(h - 1, w + shift)
+        ti = {word: r for r, word in enumerate(tgt)}
+        entries = {}
+        for c, word in enumerate(src):
+            for w2, v in C.diff(word).items():
+                entries[(ti[w2], c)] = v
+        return SparseMatrix(len(tgt), len(src), entries)
+
+    return homology_by_blocks(positions, block, shift)
 
 
 def ce_homology(a, cap):
     """Dimensions of CE homology H_i(a; k) for i = 0..cap (unreduced)."""
     C = ce_complex(a, cap + 1)
-    dims = []
-    for h in range(cap + 1):
-        mid = len(C.words_of_hdeg(h))
-        d_out = _ce_block(C, h) if h > 0 else SparseMatrix(0, mid)
-        dims.append(homology_dim(d_out, _ce_block(C, h + 1)))
-    return dims
+    dims = _ce_dims(C, [(h, 0) for h in range(cap + 1)],
+                    lambda h, _: C.words_of_hdeg(h), 0)
+    return [dims[(h, 0)] for h in range(cap + 1)]
 
 
 def _ce_homology_bigraded(a, cap):
@@ -322,28 +326,12 @@ def _ce_homology_bigraded(a, cap):
     for h in range(cap + 2):
         for w in C.words_of_hdeg(h):
             by_len.setdefault((h, len(w)), []).append(w)
-
-    def block(h, ell):
-        src = sorted(by_len.get((h, ell), []))
-        tgt = sorted(by_len.get((h - 1, ell + shift), []))
-        ti = {w: r for r, w in enumerate(tgt)}
-        entries = {}
-        for c, w in enumerate(src):
-            for w2, v in C.diff(w).items():
-                entries[(ti[w2], c)] = v
-        return SparseMatrix(len(tgt), len(src), entries)
-
-    out = {}
     lengths = sorted({ell for (_, ell) in by_len})
-    for h in range(cap + 1):
-        for ell in lengths:
-            mid = len(by_len.get((h, ell), []))
-            if mid == 0 and not by_len.get((h + 1, ell - shift)):
-                continue
-            dim = homology_dim(block(h, ell), block(h + 1, ell - shift))
-            if dim:
-                out[(h, ell)] = dim
-    return out
+    positions = [(h, ell) for h in range(cap + 1) for ell in lengths
+                 if by_len.get((h, ell)) or by_len.get((h + 1, ell - shift))]
+    dims = _ce_dims(C, positions, lambda h, ell: by_len.get((h, ell), []),
+                    shift)
+    return {pos: dim for pos, dim in dims.items() if dim}
 
 
 # cobar ------------------------------------------------------------------

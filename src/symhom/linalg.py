@@ -3,8 +3,16 @@
 Matrices are dictionaries (row, col) -> nonzero rational.  Elimination is
 plain rational Gaussian elimination with a Markowitz-style pivot choice
 (sparsest column, then sparsest row in it), which keeps fill-in tolerable
-on the face-map matrices produced elsewhere in the package.
+on the face-map matrices produced elsewhere in the package.  The sparsest
+column comes off a heap of (count, column) entries, refreshed lazily, so
+choosing a pivot does not rescan every active column.
+
+homology_by_blocks is the one homology loop of the package: given the
+positions of a bigraded complex and a block builder, it builds and ranks
+each block once and checks d . d = 0 at every position.
 """
+
+from heapq import heappop, heappush
 
 from .rationals import QQ, ZERO
 
@@ -16,6 +24,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "homology_dim",
+    "homology_by_blocks",
     "rank_of_rows",
 ]
 
@@ -133,18 +142,26 @@ def rank_of_rows(rows):
     """Rank of a list of sparse rows (dicts col -> scalar).
 
     Destroys its input.  Pivot choice: the column hit by the fewest active
-    rows, then the shortest row in that column.
+    rows, then the shortest row in that column; ties go to the lower
+    index.  The heap holds, for every active column, an entry with its
+    current count: counts change only in the columns of the pivot row,
+    which get a fresh entry when the pivot retires.  Entries for retired
+    columns or old counts are skipped when popped, so the first current
+    entry is the minimum (count, column).
     """
     rows = [r for r in rows if r]
     col_rows = {}
     for rid, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(rid)
+    heap = [(len(s), c) for c, s in col_rows.items()]
+    heap.sort()
     rank = 0
     while col_rows:
-        # sparsest column; ties broken by index for determinism
-        c = min(col_rows, key=lambda cc: (len(col_rows[cc]), cc))
-        rids = col_rows[c]
+        count, c = heappop(heap)
+        rids = col_rows.get(c)
+        if rids is None or count != len(rids):
+            continue  # stale entry
         piv = min(rids, key=lambda rid: (len(rows[rid]), rid))
         piv_row = rows[piv]
         piv_val = piv_row[c]
@@ -157,19 +174,19 @@ def rank_of_rows(rows):
                 w = row.get(cc, ZERO) - factor * vv
                 if w:
                     if cc not in row:
-                        col_rows.setdefault(cc, set()).add(rid)
+                        col_rows[cc].add(rid)
                     row[cc] = w
-                else:
-                    if cc in row:
-                        del row[cc]
-                        col_rows[cc].discard(rid)
+                elif cc in row:
+                    del row[cc]
+                    col_rows[cc].discard(rid)
         # retire the pivot row and column
         for cc in piv_row:
-            s = col_rows.get(cc)
-            if s is not None:
-                s.discard(piv)
-                if not s:
-                    del col_rows[cc]
+            s = col_rows[cc]
+            s.discard(piv)
+            if s:
+                heappush(heap, (len(s), cc))
+            else:
+                del col_rows[cc]
         rows[piv] = {}
         rank += 1
     return rank
@@ -280,12 +297,49 @@ def homology_dim(d_out, d_in, check=True):
     d_out: C_mid -> C_out, d_in: C_in -> C_mid.  Raises
     CompositionNonZeroError when d_out . d_in != 0.
     """
-    if d_out.cols != d_in.rows:
-        raise ValueError("middle dimensions disagree: %d vs %d"
-                         % (d_out.cols, d_in.rows))
-    if check and not d_out.matmul(d_in).is_zero():
-        raise CompositionNonZeroError("d_out . d_in != 0: not a complex")
-    h = d_out.cols - rank(d_out) - rank(d_in)
-    if h < 0:
-        raise CompositionNonZeroError("negative homology dimension")
-    return h
+    blocks = (d_out, d_in)
+    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0,
+                              check)[(0, 0)]
+
+
+def homology_by_blocks(positions, block, shift, check=True):
+    """{(h, w): dim H_{h,w}} of a bigraded complex at the given positions.
+
+    block(h, w) is the matrix of d from C_{h,w} to C_{h-1,w+shift}, so the
+    homology at (h, w) needs block(h, w) and block(h+1, w-shift).  Within
+    one call each block is built once and ranked once; a block is dropped
+    as soon as no remaining position needs it.  Raises ValueError when two
+    blocks do not compose, and CompositionNonZeroError when d . d != 0 at
+    a position (checked unless check is false) or a dimension comes out
+    negative.
+    """
+    pairs = [((h, w), (h + 1, w - shift)) for h, w in positions]
+    uses = {}
+    for pair in pairs:
+        for key in pair:
+            uses[key] = uses.get(key, 0) + 1
+    blocks = {}
+    ranks = {}
+    out = {}
+    for (h, w), pair in zip(positions, pairs):
+        for key in pair:
+            if key not in ranks:
+                blocks[key] = block(*key)
+                ranks[key] = rank(blocks[key])
+        d_out, d_in = (blocks[key] for key in pair)
+        if d_out.cols != d_in.rows:
+            raise ValueError("middle dimensions disagree: %d vs %d"
+                             % (d_out.cols, d_in.rows))
+        if check and not d_out.matmul(d_in).is_zero():
+            raise CompositionNonZeroError(
+                "d_out . d_in != 0 at (%d, %d): not a complex" % (h, w))
+        dim = d_out.cols - ranks[pair[0]] - ranks[pair[1]]
+        if dim < 0:
+            raise CompositionNonZeroError(
+                "negative homology dimension at (%d, %d)" % (h, w))
+        out[(h, w)] = dim
+        for key in pair:
+            uses[key] -= 1
+            if not uses[key]:
+                del blocks[key]
+    return out

@@ -172,3 +172,46 @@ def test_json_input_round_trip(tmp_path, capsys):
                          "--format", "json")
     assert code == code2 == 0
     assert out == out2
+
+
+@pytest.mark.parametrize("damage", ["truncate", "other-job"])
+def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
+                                                     damage):
+    args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
+            "--weight-cap", "4", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code1, out1, _ = run(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
+    if damage == "truncate":
+        entry.write_text(good[:len(good) // 2])
+    else:
+        record = json.loads(good)
+        record["job"]["deg_cap"] = 99
+        record["result"]["entries"] = []
+        entry.write_text(json.dumps(record))
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0 and out2 == out1
+    assert json.loads(entry.read_text())["job"] == json.loads(good)["job"]
+    assert os.listdir(tmp_path) == [entry.name]  # no temp file left
+
+
+@pytest.mark.parametrize("pipeline, text", [
+    ("bar", '{"mult": [], "unit": {}}'),
+    ("bar", '{"basis": ["1", "x"], "mult": ['),
+    ("dg", '{"generators": [{"name": "x", "hdeg": 0}]}'),
+    ("cobar", '{"basis": [{"hdeg": 0}]}'),
+    (None, '{"mult": '),
+    (None, '[1, 2]'),
+])
+def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
+                                            text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["hs", str(path), "--deg-cap", "1", "--weight-cap", "2"]
+    if pipeline:
+        argv += ["--pipeline", pipeline]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err

@@ -149,3 +149,31 @@ def test_euler_check_guards():
     S = CommDGAlgebra(gens, {"s": {(0,): QQ(1)}})
     with pytest.raises(ValueError):
         S.euler_check(2, 4)  # weight shift is -1
+
+
+def test_homology_table_keeps_no_cache_between_calls():
+    S = _dual_abelianized(5)
+    calls = []
+    real = S.monomial_basis
+
+    def counting(h, w):
+        calls.append((h, w))
+        return real(h, w)
+
+    S.monomial_basis = counting
+    S.homology_table(4, 6)
+    first = len(calls)
+    S.homology_table(4, 6)
+    assert first and len(calls) == 2 * first
+    # each basis is enumerated once per call
+    assert len(set(calls[:first])) == first
+
+
+def test_homology_table_restricts_across_caps():
+    for d in range(5):
+        for w in range(7):
+            small = _dual_abelianized(d + 1).homology_table(d, w)
+            big = _dual_abelianized(d + 2).homology_table(d + 1, w + 1)
+            cut = {(h, ww): v for (h, ww), v in big.entries.items()
+                   if h <= d and ww <= w}
+            assert small.entries == cut, (d, w)

@@ -1,11 +1,14 @@
 """Exact sparse linear algebra: rank, kernels, quotients, homology."""
 
+import itertools
 import random
 
 import pytest
 
+from symhom import linalg
 from symhom.linalg import (CompositionNonZeroError, QuotientSpace,
-                           SparseMatrix, homology_dim, kernel_basis, rank)
+                           SparseMatrix, homology_by_blocks, homology_dim,
+                           kernel_basis, rank)
 from symhom.rationals import QQ
 
 
@@ -16,6 +19,54 @@ def random_matrix(rng, rows, cols, density=0.4):
             if rng.random() < density:
                 entries[(i, j)] = QQ(rng.randint(-5, 5))
     return SparseMatrix(rows, cols, entries)
+
+
+def dense_rank(M):
+    """Reference rank: dense left-to-right elimination."""
+    a = [[QQ(0)] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        a[i][j] = v
+    r = 0
+    for c in range(M.cols):
+        p = next((i for i in range(r, M.rows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(M.rows):
+            if i != r and a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def tie_heavy_matrix(rng, rows, cols):
+    """Rows with the same number of +-1 entries, some of them sums of
+    earlier rows: many columns and rows tie on count."""
+    out = []
+    for i in range(rows):
+        if i >= 2 and rng.random() < 0.3:
+            u, v = rng.sample(out, 2)
+            row = dict(u)
+            for j, c in v.items():
+                row[j] = row.get(j, QQ(0)) + c
+            out.append({j: c for j, c in row.items() if c})
+        else:
+            out.append({j: QQ(rng.choice((1, -1)))
+                        for j in rng.sample(range(cols), min(2, cols))})
+    return SparseMatrix(rows, cols, {(i, j): c for i, r in enumerate(out)
+                                     for j, c in r.items()})
+
+
+def test_rank_matches_dense_reference():
+    rng = random.Random(101)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        if trial % 2:
+            M = tie_heavy_matrix(rng, rows, cols)
+        else:
+            M = random_matrix(rng, rows, cols, density=rng.random() * 0.5)
+        assert rank(M) == dense_rank(M)
 
 
 def test_rank_dense_examples():
@@ -134,3 +185,46 @@ def test_quotient_projection_is_linear():
             elif l in summed:
                 del summed[l]
         assert summed == pb
+
+
+def simplex_boundary(h, w, signed=True):
+    """Boundary of the (w+1)-vertex simplex from h-faces to (h-1)-faces;
+    without signs it is not a differential."""
+    src = list(itertools.combinations(range(w + 1), h + 1))
+    tgt = list(itertools.combinations(range(w + 1), h)) if h else []
+    ti = {t: r for r, t in enumerate(tgt)}
+    entries = {}
+    for c, face in enumerate(src):
+        for k in range(len(face) if h else 0):
+            sign = (-1) ** k if signed else 1
+            entries[(ti[face[:k] + face[k + 1:]], c)] = sign
+    return SparseMatrix(len(tgt), len(src), entries)
+
+
+def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
+    built = []
+    ranked = []
+    real_rank = linalg.rank
+
+    def counting_rank(M):
+        ranked.append(M)
+        return real_rank(M)
+
+    def block(h, w):
+        built.append((h, w))
+        return simplex_boundary(h, w)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    positions = [(h, w) for h in range(4) for w in range(4)]
+    dims = homology_by_blocks(positions, block, 0)
+    # a simplex is connected and acyclic
+    assert dims == {(h, w): int(h == 0) for h, w in positions}
+    assert sorted(built) == [(h, w) for h in range(5) for w in range(4)]
+    assert len(ranked) == len(built)
+
+
+def test_homology_by_blocks_rejects_non_complex():
+    positions = [(h, w) for h in range(3) for w in range(3)]
+    with pytest.raises(CompositionNonZeroError):
+        homology_by_blocks(
+            positions, lambda h, w: simplex_boundary(h, w, signed=False), 0)
