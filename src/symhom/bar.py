@@ -10,11 +10,17 @@ depth-n trees.  Faces flatten a layer (monad multiplication) or multiply
 the innermost letters through the structure constants; degeneracies
 insert singleton brackets, so a monomial is degenerate exactly when some
 layer consists of singleton brackets across all its factors.
+
+With coefficients in generic n x n matrices every factor carries an
+index pair, (tree, a, b).  The complex is built from these decorated
+monomials only, with one face and one block for every n: a plain
+monomial is the n = 1 decoration, all indices 0.  The decorated basis of
+each (level, weight) block is built once per hr_via_bar call.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, homology_by_blocks
-from .rationals import QQ, ZERO
+from .linalg import SparseMatrix, add_term, homology_by_blocks
+from .rationals import ONE, QQ
 
 __all__ = ["BarLevel", "CapOverflowError", "bar_level_basis", "face_map",
            "hr_via_bar"]
@@ -30,12 +36,7 @@ def _sort_collapse(d):
     """Re-sort monomial keys, summing collisions."""
     out = {}
     for k, v in d.items():
-        key = tuple(sorted(k))
-        s = out.get(key, ZERO) + v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        add_term(out, tuple(sorted(k)), v)
     return out
 
 
@@ -126,23 +127,22 @@ def _weight_monomials(A, ideal, n, weight, cache):
     key = ("mono", n, weight)
     if key in cache:
         return cache[key]
-    # all depth-n trees of weight <= weight, in one sorted list
-    pool = []
-    for w in range(1, weight + 1):
-        pool.extend((w, t) for t in _trees(A, ideal, n, w, cache))
-    pool.sort(key=lambda p: p[1])
+    # all depth-n trees of weight <= weight, lightest first, so the scan
+    # stops at the first tree heavier than what remains
+    pool = [(w, t) for w in range(1, weight + 1)
+            for t in _trees(A, ideal, n, w, cache)]
     out = []
 
     def rec(start, remaining, acc):
         if remaining == 0:
-            mono = tuple(acc)
+            mono = tuple(sorted(acc))
             if not _is_degenerate(mono, n):
                 out.append(mono)
             return
         for idx in range(start, len(pool)):
             w, t = pool[idx]
             if w > remaining:
-                continue
+                break
             acc.append(t)
             rec(idx, remaining - w, acc)
             acc.pop()
@@ -196,76 +196,11 @@ def _multiply_innermost(A, tree, depth, unit_index):
     return out
 
 
-def _face_monomial(A, n, i, mono, unit_index):
-    """Image of one basis monomial under face i: dict monomial -> coeff."""
-    if not 0 <= i <= n or n < 1:
-        raise IndexError("face (%d, %d) out of range" % (n, i))
-    if i == 0:
-        flat = tuple(sorted(x for t in mono for x in t))
-        return {flat: QQ(1)}
-    if i < n:
-        return {tuple(sorted(_flatten(t, i) for t in mono)): QQ(1)}
-    out = {(): QQ(1)}
-    for t in mono:
-        sub = _multiply_innermost(A, t, n, unit_index)
-        nxt = {}
-        for pref, c1 in out.items():
-            for t2, c2 in sub.items():
-                key = pref + (t2,)
-                c = c1 * c2
-                s = nxt.get(key, ZERO) + c
-                if s:
-                    nxt[key] = s
-                elif key in nxt:
-                    del nxt[key]
-        out = nxt
-        if not out:
-            return {}
-    return _sort_collapse(out)
-
-
-def face_map(A, n, i, element):
-    """Apply face i to an element (dict monomial -> coeff) of level n."""
-    u, _ = A.augmented_split()
-    out = {}
-    for mono, c in element.items():
-        for m2, c2 in _face_monomial(A, n, i, tuple(mono), u).items():
-            s = out.get(m2, ZERO) + QQ(c) * c2
-            if s:
-                out[m2] = s
-            elif m2 in out:
-                del out[m2]
-    return out
-
-
-def _block_matrix(A, ideal, n, weight, cache, unit_index):
-    """Normalized differential from block (n, weight) to (n-1, weight)."""
-    src = _weight_monomials(A, ideal, n, weight, cache)
-    tgt = _weight_monomials(A, ideal, n - 1, weight, cache)
-    tgt_index = {m: r for r, m in enumerate(tgt)}
-    entries = {}
-    for col, mono in enumerate(src):
-        acc = {}
-        for i in range(n + 1):
-            sgn = QQ(-1) if i % 2 else QQ(1)
-            for m2, c in _face_monomial(A, n, i, mono, unit_index).items():
-                s = acc.get(m2, ZERO) + sgn * c
-                if s:
-                    acc[m2] = s
-                elif m2 in acc:
-                    del acc[m2]
-        for m2, c in acc.items():
-            r = tgt_index.get(m2)
-            if r is not None:  # degenerate targets project to zero
-                entries[(r, col)] = c
-    return SparseMatrix(len(tgt), len(src), entries)
-
-
-# matrix-entry variant: factors carry a pair of indices in 1..n, and the
-# outer flatten expands along all index paths through the children
-
 def _decorate(monos, n):
-    """All decorations of plain monomials by index pairs, sorted."""
+    """All decorations of plain monomials by index pairs, sorted.
+
+    A decorated factor is (tree, a, b) with 0 <= a, b < n, an entry of a
+    generic n x n matrix; a plain monomial is the n = 1 decoration."""
     out = []
     for mono in monos:
         stack = [()]
@@ -277,75 +212,46 @@ def _decorate(monos, n):
     return sorted(set(out))
 
 
-def _face_decorated(A, nlev, i, mono, unit_index, n):
-    """Face of a monomial of decorated factors: dict monomial -> coeff."""
+def _face(A, nlev, i, mono, unit_index, n):
+    """Face i of a level-nlev monomial of decorated factors: dict
+    monomial -> coeff."""
     if i == 0:
-        # each factor expands over index paths through its children
-        partial = {(): QQ(1)}
+        # flattening the outer layer spreads a factor (t, a, b) along the
+        # index paths a, c_1, ..., b through the children of t, one factor
+        # per child; distinct paths give distinct factors, so coefficients
+        # are path counts, kept as ints
+        out = {(): 1}
         for t, a, b in mono:
-            children = list(t)
-            expanded = {}
-            paths = [((a,), ())]
-            for child in children:
-                paths = [(idx + (c,), fac + ((child, idx[-1], c),))
-                         for idx, fac in paths for c in range(n)]
-            for idx, fac in paths:
-                if idx[-1] != b:
-                    continue
-                expanded[fac] = expanded.get(fac, ZERO) + QQ(1)
-            nxt = {}
-            for pref, c1 in partial.items():
-                for fac, c2 in expanded.items():
-                    key = pref + fac
-                    s = nxt.get(key, ZERO) + c1 * c2
-                    if s:
-                        nxt[key] = s
-            partial = nxt
-        return _sort_collapse(partial)
+            paths = [((), a)]
+            for child in t[:-1]:
+                paths = [(fac + ((child, c0, c),), c)
+                         for fac, c0 in paths for c in range(n)]
+            ends = [fac + ((t[-1], c0, b),) for fac, c0 in paths]
+            out = {pre + end: 1 for pre in out for end in ends}
+        return _sort_collapse(out)
     if i < nlev:
-        return {tuple(sorted((_flatten(t, i), a, b)
-                             for t, a, b in mono)): QQ(1)}
-    out = {(): QQ(1)}
+        return {tuple(sorted((_flatten(t, i), a, b) for t, a, b in mono)): 1}
+    out = {(): ONE}
     for t, a, b in mono:
         sub = _multiply_innermost(A, t, nlev, unit_index)
-        nxt = {}
-        for pref, c1 in out.items():
-            for t2, c2 in sub.items():
-                key = pref + ((t2, a, b),)
-                s = nxt.get(key, ZERO) + c1 * c2
-                if s:
-                    nxt[key] = s
-                elif key in nxt:
-                    del nxt[key]
-        out = nxt
+        out = {pre + ((t2, a, b),): c1 * c2
+               for pre, c1 in out.items() for t2, c2 in sub.items()}
         if not out:
             return {}
     return _sort_collapse(out)
 
 
-def _decorated_block_matrix(A, ideal, nlev, weight, cache, unit_index, n):
-    plain_src = _weight_monomials(A, ideal, nlev, weight, cache)
-    plain_tgt = _weight_monomials(A, ideal, nlev - 1, weight, cache)
-    src = _decorate(plain_src, n)
-    tgt = _decorate(plain_tgt, n)
-    tgt_index = {m: r for r, m in enumerate(tgt)}
-    entries = {}
-    for col, mono in enumerate(src):
-        acc = {}
-        for i in range(nlev + 1):
-            sgn = QQ(-1) if i % 2 else QQ(1)
-            for m2, c in _face_decorated(
-                    A, nlev, i, mono, unit_index, n).items():
-                s = acc.get(m2, ZERO) + sgn * c
-                if s:
-                    acc[m2] = s
-                elif m2 in acc:
-                    del acc[m2]
-        for m2, c in acc.items():
-            r = tgt_index.get(m2)
-            if r is not None:
-                entries[(r, col)] = c
-    return SparseMatrix(len(tgt), len(src), entries)
+def face_map(A, n, i, element):
+    """Apply face i to an element (dict monomial -> coeff) of level n."""
+    if not 0 <= i <= n or n < 1:
+        raise IndexError("face (%d, %d) out of range" % (n, i))
+    u, _ = A.augmented_split()
+    out = {}
+    for mono, c in element.items():
+        plain = tuple((t, 0, 0) for t in mono)
+        for m2, c2 in _face(A, n, i, plain, u, 1).items():
+            add_term(out, tuple(t for t, _, _ in m2), QQ(c) * c2)
+    return out
 
 
 def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
@@ -365,16 +271,17 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
         raise ValueError("algebra truncated below the requested weight cap")
     cache = {}
 
-    def mid_dim(lev, w):
-        plain = _weight_monomials(A, ideal, lev, w, cache)
-        if n == 1:
-            return len(plain)
-        return len(_decorate(plain, n))
+    def basis(lev, w):
+        key = ("decorated", lev, w)
+        if key not in cache:
+            cache[key] = _decorate(
+                _weight_monomials(A, ideal, lev, w, cache), n)
+        return cache[key]
 
     total = 0
     for lev in range(deg_cap + 2):
         for w in range(weight_cap + 1):
-            total += mid_dim(lev, w)
+            total += len(basis(lev, w))
             if total > budget:
                 raise CapOverflowError(
                     "bar complex exceeds budget %d at level %d"
@@ -382,11 +289,19 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
 
     def block(lev, w):
         if lev == 0:
-            return SparseMatrix(0, mid_dim(0, w))
-        if n == 1:
-            return _block_matrix(A, ideal, lev, w, cache, unit_index)
-        return _decorated_block_matrix(A, ideal, lev, w, cache, unit_index,
-                                       n)
+            return SparseMatrix(0, len(basis(0, w)))
+        tgt = basis(lev - 1, w)
+        nondegenerate = set(tgt)
+
+        def image(mono):
+            acc = {}
+            for i in range(lev + 1):
+                for m2, c in _face(A, lev, i, mono, unit_index, n).items():
+                    add_term(acc, m2, -c if i % 2 else c)
+            # degenerate targets are zero in the normalized complex
+            return {m: c for m, c in acc.items() if m in nondegenerate}
+
+        return SparseMatrix.from_images(basis(lev, w), tgt, image)
 
     positions = [(lev, w) for lev in range(deg_cap + 1)
                  for w in range(weight_cap + 1)]

@@ -266,13 +266,6 @@ def cmd_ce(args):
     return 0
 
 
-def cmd_cobar_hs(args):
-    a = load_lie(args.input)
-    table = hs_env_via_cobar(a, args.deg_cap, args.weight_cap)
-    _emit_table(table, args.format)
-    return 0
-
-
 def cmd_deltas(args):
     if args.op == "compose":
         f = parse_morphism(args.args[0])
@@ -384,11 +377,6 @@ def build_parser():
     sp.add_argument("--deg-cap", type=int, default=4)
     common(sp, caps=False)
     sp.set_defaults(func=cmd_ce)
-
-    sp = sub.add_parser("cobar-hs", help="cobar route Betti table")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(func=cmd_cobar_hs)
 
     sp = sub.add_parser("deltaS", help="symmetric-category calculator")
     sp.add_argument("op", choices=["compose", "factor", "psi"])

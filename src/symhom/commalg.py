@@ -14,8 +14,8 @@ call through a memo that lives only for that call.
 
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
-from .linalg import SparseMatrix, homology_by_blocks
-from .rationals import QQ, ZERO
+from .linalg import SparseMatrix, add_term, homology_by_blocks
+from .rationals import ONE, QQ, ZERO
 
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
 
@@ -87,17 +87,6 @@ class CommDGAlgebra:
 
     def mono_weight(self, mono):
         return sum(self.generators[i].weight for i in mono)
-
-    @staticmethod
-    def add(p, q):
-        out = dict(p)
-        for m, c in q.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return out
 
     def mul(self, p, q):
         out = {}
@@ -182,14 +171,9 @@ class CommDGAlgebra:
         monomial_basis, and homology_table passes a per-call memo of it.
         """
         basis = basis or self.monomial_basis
-        src = basis(hdeg, weight)
-        tgt = basis(hdeg - 1, weight + self.weight_shift)
-        tgt_index = {m: r for r, m in enumerate(tgt)}
-        entries = {}
-        for c, mono in enumerate(src):
-            for m, v in self.d({mono: QQ(1)}).items():
-                entries[(tgt_index[m], c)] = v
-        return SparseMatrix(len(tgt), len(src), entries)
+        return SparseMatrix.from_images(
+            basis(hdeg, weight), basis(hdeg - 1, weight + self.weight_shift),
+            lambda mono: self.d({mono: ONE}))
 
     def _homology(self, positions, check=True):
         """{(h, w): dim} through the shared block driver; each basis is
@@ -245,13 +229,8 @@ def abelianize(R):
         out = {}
         for word, c in poly.terms.items():
             sign, mono = sort_word([index[n] for n in word], parities)
-            if not sign:
-                continue
-            s = out.get(mono, ZERO) + c * sign
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
+            if sign:
+                add_term(out, mono, c * sign)
         if out:
             diff[name] = out
     return CommDGAlgebra(gens, diff)

@@ -9,8 +9,8 @@ factorization is computed on demand.
 
 from dataclasses import dataclass, field
 
-from .linalg import QuotientSpace, SparseMatrix
-from .rationals import QQ, ZERO
+from .linalg import QuotientSpace, SparseMatrix, add_term
+from .rationals import QQ
 
 __all__ = [
     "DeltaSMorphism", "ArityMismatchError", "identity", "compose",
@@ -212,11 +212,7 @@ class SymBarElement:
             raise ArityMismatchError("cannot add different arities")
         out = dict(self.tensor)
         for w, c in other.tensor.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+            add_term(out, w, c)
         return SymBarElement(self.arity, out)
 
     def scale(self, c):
@@ -253,11 +249,7 @@ def b_sym_action(A, f, v):
             partial = [(w + (i,), cc * a)
                        for w, cc in partial for i, a in slot.items()]
         for w, cc in partial:
-            s = out.get(w, ZERO) + cc
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+            add_term(out, w, cc)
     return SymBarElement(f.target_arity, out)
 
 
@@ -365,11 +357,7 @@ def abelianization_quotient(A, max_word_len=3):
                 other = A.multiply_word(sw)
                 rel = dict(base)
                 for k, cc in other.items():
-                    s = rel.get(k, ZERO) - cc
-                    if s:
-                        rel[k] = s
-                    elif k in rel:
-                        del rel[k]
+                    add_term(rel, k, -cc)
                 if rel:
                     relations.append(rel)
     return QuotientSpace(labels, relations)
@@ -419,12 +407,7 @@ def _coequalizer_space(A, arity_cap, cyclic):
             image = b_sym_action(A, f, SymBarElement.pure(w))
             rel = {(n, w): QQ(1)}
             for iw, c in image.tensor.items():
-                key = (m, iw)
-                s = rel.get(key, ZERO) - c
-                if s:
-                    rel[key] = s
-                elif key in rel:
-                    del rel[key]
+                add_term(rel, (m, iw), -c)
             if rel:
                 relations.append(rel)
     return QuotientSpace(labels, relations)
@@ -448,13 +431,9 @@ def hs0_coequalizer(A, arity_cap):
         raise ValueError("arity_cap must be >= 1")
     quo = _coequalizer_space(A, arity_cap, cyclic=False)
     aab = abelianization_quotient(A)
-    entries = {}
-    row_index = {lab: r for r, lab in enumerate(aab.basis)}
-    for c, (n, w) in enumerate(quo.basis):
-        product = A.multiply_word(w)
-        for lab, v in aab.project(product).items():
-            entries[(row_index[lab], c)] = v
-    comparison = SparseMatrix(aab.dim, quo.dim, entries)
+    comparison = SparseMatrix.from_images(
+        quo.basis, aab.basis,
+        lambda label: aab.project(A.multiply_word(label[1])))
     return quo.dim, comparison
 
 

@@ -9,6 +9,7 @@ discarded -- sound for any weight-graded computation below the bound.
 
 import json
 
+from .linalg import add_term
 from .rationals import QQ, ZERO, qq, qq_str
 
 __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
@@ -61,11 +62,7 @@ class FinDimAlgebra:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.multiply_basis(i, j).items():
-                    s = out.get(k, ZERO) + a * b * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                    add_term(out, k, a * b * c)
         return out
 
     def multiply_word(self, indices):

@@ -8,6 +8,7 @@ the differential on each generator; the differential extends as a degree
 import json
 from dataclasses import dataclass
 
+from .linalg import add_term
 from .rationals import QQ, ZERO, qq, qq_str
 
 __all__ = ["GeneratorSpec", "NCPoly", "FreeDGAlgebra",
@@ -53,11 +54,7 @@ class NCPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+            add_term(out, w, c)
         return NCPoly(out)
 
     def __sub__(self, other):
@@ -73,12 +70,7 @@ class NCPoly:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
+                add_term(out, w1 + w2, c1 * c2)
         return NCPoly(out)
 
     def __eq__(self, other):

@@ -14,8 +14,8 @@ exterior length (the differential drops it by exactly 1).
 from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
-from .linalg import SparseMatrix, homology_by_blocks
-from .rationals import QQ, ZERO, qq
+from .linalg import SparseMatrix, add_term, homology_by_blocks
+from .rationals import QQ, qq
 
 import json
 
@@ -71,11 +71,7 @@ class DGLie:
         out = {}
         for i, c in vec.items():
             for k, c2 in self.differential.get(i, {}).items():
-                s = out.get(k, ZERO) + c * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                add_term(out, k, c * c2)
         return out
 
     def bkt_vec(self, u, v):
@@ -83,22 +79,10 @@ class DGLie:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.bkt(i, j).items():
-                    s = out.get(k, ZERO) + a * b * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                    add_term(out, k, a * b * c)
         return out
 
     def validate(self):
-        def add_scaled(acc, vec, c):
-            for k, v in vec.items():
-                s = acc.get(k, ZERO) + c * v
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
-
         n = self.dim
         for (i, j), vec in self.bracket.items():
             deg = self.hdegs[i] + self.hdegs[j]
@@ -114,13 +98,11 @@ class DGLie:
             for j in range(n):
                 for k in range(n):
                     lhs = self.bkt_vec({i: QQ(1)}, self.bkt(j, k))
-                    acc = {}
-                    add_scaled(acc, self.bkt_vec(self.bkt(i, j), {k: QQ(1)}),
-                               QQ(1))
-                    sgn = QQ(-1) if (self.hdegs[i] * self.hdegs[j]) % 2 \
-                        else QQ(1)
-                    add_scaled(acc, self.bkt_vec({j: QQ(1)}, self.bkt(i, k)),
-                               sgn)
+                    acc = self.bkt_vec(self.bkt(i, j), {k: QQ(1)})
+                    sgn = -1 if (self.hdegs[i] * self.hdegs[j]) % 2 else 1
+                    for m, v in self.bkt_vec({j: QQ(1)},
+                                             self.bkt(i, k)).items():
+                        add_term(acc, m, sgn * v)
                     if lhs != acc:
                         raise ValueError(
                             "Jacobi fails on (%s, %s, %s)"
@@ -128,12 +110,11 @@ class DGLie:
         # d is a derivation of the bracket and squares to zero
         for (i, j), vec in self.bracket.items():
             lhs = self.d_vec(vec)
-            acc = {}
-            add_scaled(acc, self.bkt_vec(self.differential.get(i, {}),
-                                         {j: QQ(1)}), QQ(1))
-            sgn = QQ(-1) if self.hdegs[i] % 2 else QQ(1)
-            add_scaled(acc, self.bkt_vec({i: QQ(1)},
-                                         self.differential.get(j, {})), sgn)
+            acc = self.bkt_vec(self.differential.get(i, {}), {j: QQ(1)})
+            sgn = -1 if self.hdegs[i] % 2 else 1
+            for m, v in self.bkt_vec({i: QQ(1)},
+                                     self.differential.get(j, {})).items():
+                add_term(acc, m, sgn * v)
             if lhs != acc:
                 raise ValueError("d not a bracket derivation at [%s,%s]"
                                  % (self.names[i], self.names[j]))
@@ -199,14 +180,8 @@ class CECoalgebra:
 
     def _add(self, acc, word, coeff):
         sign, mono = sort_word(word, self.parities)
-        if not sign:
-            return
-        c = coeff * sign
-        s = acc.get(mono, ZERO) + c
-        if s:
-            acc[mono] = s
-        elif mono in acc:
-            del acc[mono]
+        if sign:
+            add_term(acc, mono, coeff * sign)
 
     def diff(self, word):
         """CE differential of a wedge word: dict word -> coeff."""
@@ -253,12 +228,7 @@ class CECoalgebra:
                                  if not (mask >> q & 1))
                     if before % 2:
                         sign = -sign
-            key = (tuple(left), tuple(right))
-            s = out.get(key, ZERO) + QQ(sign)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, (tuple(left), tuple(right)), QQ(sign))
         return out
 
     def check_d_squared(self):
@@ -267,11 +237,7 @@ class CECoalgebra:
                 acc = {}
                 for w2, c in self.diff(w).items():
                     for w3, c2 in self.diff(w2).items():
-                        s = acc.get(w3, ZERO) + c * c2
-                        if s:
-                            acc[w3] = s
-                        elif w3 in acc:
-                            del acc[w3]
+                        add_term(acc, w3, c * c2)
                 if acc:
                     return False
         return True
@@ -289,17 +255,9 @@ def _ce_dims(C, positions, words, shift):
     by words(h, w): sorted wedge words of degree h in group w, where d
     maps group w to group w + shift."""
 
-    def block(h, w):
-        src = words(h, w)
-        tgt = words(h - 1, w + shift)
-        ti = {word: r for r, word in enumerate(tgt)}
-        entries = {}
-        for c, word in enumerate(src):
-            for w2, v in C.diff(word).items():
-                entries[(ti[w2], c)] = v
-        return SparseMatrix(len(tgt), len(src), entries)
-
-    return homology_by_blocks(positions, block, shift)
+    return homology_by_blocks(
+        positions, lambda h, w: SparseMatrix.from_images(
+            words(h, w), words(h - 1, w + shift), C.diff), shift)
 
 
 def ce_homology(a, cap):
@@ -360,17 +318,9 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
     for w in gen_words:
         name = _word_name(C, w)
         terms = {}
-
-        def add(word_tuple, coeff):
-            s = terms.get(word_tuple, ZERO) + coeff
-            if s:
-                terms[word_tuple] = s
-            elif word_tuple in terms:
-                del terms[word_tuple]
-
         for w2, c in C.diff(w).items():
             if w2 in keep or len(w2) <= weight_cap:
-                add((_word_name(C, w2),), -c)
+                add_term(terms, (_word_name(C, w2),), -c)
         for (w1, w2), c in C.reduced_coproduct(w).items():
             s1, m1 = sort_word(w1, C.parities)
             s2, m2 = sort_word(w2, C.parities)
@@ -381,7 +331,7 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
             # omitting it (the "flipped" control) must break d^2 = 0
             if not flip_coproduct_sign and C.word_hdeg(m1) % 2:
                 sgn = -sgn
-            add((_word_name(C, m1), _word_name(C, m2)), -sgn)
+            add_term(terms, (_word_name(C, m1), _word_name(C, m2)), -sgn)
         poly = NCPoly(terms)
         if not poly.is_zero():
             diff[name] = poly

@@ -1,6 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
-Matrices are dictionaries (row, col) -> nonzero rational.  Elimination is
+Vectors are dictionaries key -> nonzero scalar; add_term is the one "add,
+drop if zero" step on them.  Matrices are dictionaries (row, col) ->
+nonzero rational, and SparseMatrix.from_images is the one block builder:
+every block of every complex in the package is the matrix of the images
+of a source basis, written on a target basis.  Elimination is
 plain rational Gaussian elimination with a Markowitz-style pivot choice
 (sparsest column, then sparsest row in it), which keeps fill-in tolerable
 on the face-map matrices produced elsewhere in the package.  The sparsest
@@ -19,6 +23,7 @@ from .rationals import QQ, ZERO
 __all__ = [
     "SparseMatrix",
     "SubspaceBasis",
+    "add_term",
     "QuotientSpace",
     "CompositionNonZeroError",
     "rank",
@@ -31,6 +36,24 @@ __all__ = [
 
 class CompositionNonZeroError(Exception):
     """Raised when two maps that should compose to zero do not."""
+
+
+def add_term(acc, key, c):
+    """acc[key] += c in a sparse vector, dropping the key when it cancels.
+
+    The type of c is kept for a new key, so int counts stay ints.  The
+    elimination loops (rank_of_rows, _echelon, QuotientSpace.project,
+    SparseMatrix.matmul) and CommDGAlgebra.d/mul spell this step out
+    inline: a call per term there is a measurable share of their time.
+    """
+    if key in acc:
+        s = acc[key] + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+    elif c:
+        acc[key] = c
 
 
 class SparseMatrix:
@@ -61,6 +84,21 @@ class SparseMatrix:
                 if v:
                     entries[(i, j)] = QQ(v)
         return cls(rows, cols, entries)
+
+    @classmethod
+    def from_images(cls, src, tgt, image):
+        """The matrix whose column j is image(src[j]) on the basis tgt.
+
+        image(x) is a sparse vector keyed by elements of tgt; a key
+        outside tgt raises KeyError, since the map does not land in the
+        target block.
+        """
+        row = {m: r for r, m in enumerate(tgt)}
+        entries = {}
+        for col, x in enumerate(src):
+            for m, v in image(x).items():
+                entries[(row[m], col)] = v
+        return cls(len(tgt), len(src), entries)
 
     @classmethod
     def identity(cls, n):
@@ -98,11 +136,7 @@ class SparseMatrix:
         out = {}
         for (i, j), v in self.entries.items():
             if j in vec:
-                w = out.get(i, ZERO) + v * vec[j]
-                if w:
-                    out[i] = w
-                elif i in out:
-                    del out[i]
+                add_term(out, i, v * vec[j])
         return out
 
     def is_zero(self):

@@ -11,9 +11,9 @@ when some rotation fixes the word with sign -1.
 
 from .betti import BettiTable
 from .commalg import CommDGAlgebra
-from .freealg import GeneratorSpec
-from .linalg import SparseMatrix
-from .rationals import QQ, ZERO
+from .freealg import GeneratorSpec, NCPoly
+from .linalg import SparseMatrix, add_term
+from .rationals import ONE
 
 __all__ = ["rep_n", "CyclicQuotientComplex", "cyclic_quotient",
            "trace_chain_map", "hr_n"]
@@ -21,6 +21,27 @@ __all__ = ["rep_n", "CyclicQuotientComplex", "cyclic_quotient",
 
 def _entry_name(gname, a, b):
     return "%s:%d%d" % (gname, a + 1, b + 1)
+
+
+def _matrix_of_word(S, n, word):
+    """Entries of the product of the generic n x n matrices of a word's
+    letters, in rep_n's algebra S: dict (a, b) -> polynomial."""
+    mat = {(a, b): ({(): ONE} if a == b else {})
+           for a in range(n) for b in range(n)}
+    for gname in word:
+        nxt = {}
+        for a in range(n):
+            for b in range(n):
+                acc = {}
+                for c in range(n):
+                    left = mat[(a, c)]
+                    if left:
+                        gen = {(S.index[_entry_name(gname, c, b)],): ONE}
+                        for m, v in S.mul(left, gen).items():
+                            add_term(acc, m, v)
+                nxt[(a, b)] = acc
+        mat = nxt
+    return mat
 
 
 def rep_n(R, n):
@@ -34,27 +55,6 @@ def rep_n(R, n):
                 gens.append(GeneratorSpec(_entry_name(g.name, a, b),
                                           g.hdeg, g.weight))
     S = CommDGAlgebra(gens)  # bare algebra first, for index/parity tables
-    index = S.index
-
-    def matrix_of_word(word):
-        """Entries of the product of generic matrices: dict (a,b) -> poly."""
-        mat = {(a, b): ({(): QQ(1)} if a == b else {})
-               for a in range(n) for b in range(n)}
-        for gname in word:
-            nxt = {}
-            for a in range(n):
-                for b in range(n):
-                    acc = {}
-                    for c in range(n):
-                        left = mat[(a, c)]
-                        if not left:
-                            continue
-                        gen = {(index[_entry_name(gname, c, b)],): QQ(1)}
-                        acc = S.add(acc, S.mul(left, gen))
-                    nxt[(a, b)] = acc
-            mat = nxt
-        return mat
-
     diff = {}
     for g in R.generators:
         dg = R.differential.get(g.name)
@@ -62,11 +62,9 @@ def rep_n(R, n):
             continue
         entry_polys = {(a, b): {} for a in range(n) for b in range(n)}
         for word, coeff in dg.terms.items():
-            mat = matrix_of_word(word)
-            for ab, poly in mat.items():
-                entry_polys[ab] = S.add(
-                    entry_polys[ab],
-                    {m: c * coeff for m, c in poly.items()})
+            for ab, poly in _matrix_of_word(S, n, word).items():
+                for m, c in poly.items():
+                    add_term(entry_polys[ab], m, c * coeff)
         for (a, b), poly in entry_polys.items():
             if poly:
                 diff[_entry_name(g.name, a, b)] = poly
@@ -144,26 +142,15 @@ class CyclicQuotientComplex:
         out = {}
         for word, c in poly.terms.items():
             sign, can = _necklace(self.R, word)
-            if not sign:
-                continue
-            s = out.get(can, ZERO) + c * sign
-            if s:
-                out[can] = s
-            elif can in out:
-                del out[can]
+            if sign:
+                add_term(out, can, c * sign)
         return out
 
     def block_matrix(self, h, w):
         """Induced differential from block (h, w) to (h-1, w)."""
-        from .freealg import NCPoly
-        src = self.basis(h, w)
-        tgt = self.basis(h - 1, w)
-        ti = {m: r for r, m in enumerate(tgt)}
-        entries = {}
-        for c, word in enumerate(src):
-            for can, v in self.project(self.R.d(NCPoly({word: 1}))).items():
-                entries[(ti[can], c)] = v
-        return SparseMatrix(len(tgt), len(src), entries)
+        return SparseMatrix.from_images(
+            self.basis(h, w), self.basis(h - 1, w),
+            lambda word: self.project(self.R.d(NCPoly({word: 1}))))
 
 
 def cyclic_quotient(R, deg_cap, weight_cap):
@@ -179,40 +166,18 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
     """
     cyc = CyclicQuotientComplex(R, deg_cap, weight_cap)
     S = rep_n(R, n)
-    index = S.index
 
-    def trace_of_word(word):
-        mat = {(a, b): ({(): QQ(1)} if a == b else {})
-               for a in range(n) for b in range(n)}
-        for gname in word:
-            nxt = {}
-            for a in range(n):
-                for b in range(n):
-                    acc = {}
-                    for c in range(n):
-                        left = mat[(a, c)]
-                        if not left:
-                            continue
-                        gen = {(index[_entry_name(gname, c, b)],): QQ(1)}
-                        acc = S.add(acc, S.mul(left, gen))
-                    nxt[(a, b)] = acc
-            mat = nxt
+    def trace(word):
+        mat = _matrix_of_word(S, n, word)
         out = {}
         for a in range(n):
-            out = S.add(out, mat[(a, a)])
+            for m, v in mat[(a, a)].items():
+                add_term(out, m, v)
         return out
 
-    blocks = {}
-    for h in range(deg_cap + 1):
-        for w in range(weight_cap + 1):
-            src = cyc.basis(h, w)
-            tgt = S.monomial_basis(h, w)
-            ti = {m: r for r, m in enumerate(tgt)}
-            entries = {}
-            for col, word in enumerate(src):
-                for mono, v in trace_of_word(word).items():
-                    entries[(ti[mono], col)] = v
-            blocks[(h, w)] = SparseMatrix(len(tgt), len(src), entries)
+    blocks = {(h, w): SparseMatrix.from_images(cyc.basis(h, w),
+                                               S.monomial_basis(h, w), trace)
+              for h in range(deg_cap + 1) for w in range(weight_cap + 1)}
     return cyc, S, blocks
 
 

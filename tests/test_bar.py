@@ -1,5 +1,6 @@
 """The simplicial pipeline: levels, faces, normalization, homology."""
 
+import itertools
 import random
 
 import pytest
@@ -89,18 +90,65 @@ def test_poly_algebra_has_no_higher_homology():
     assert table.degree_totals() == [5, 0, 0, 0]
 
 
+# every cap with d <= 3, w <= 4, and one larger weight cap
+SWEEP = [(d, w) for d in range(4) for w in range(5)] + [(3, 5)]
+
+
 def test_agrees_with_dg_pipeline_small():
     A = dual_numbers_algebra()
-    R = dual_numbers_resolution(4)
-    assert hr_via_bar(A, 3, 5) == abelianize(R).homology_table(3, 5)
+    for d, w in SWEEP:
+        R = dual_numbers_resolution(d + 1)
+        assert hr_via_bar(A, d, w) == abelianize(R).homology_table(d, w), \
+            (d, w)
 
 
 def test_matrix_variant_matches_rep_functor():
     A = dual_numbers_algebra()
-    R = dual_numbers_resolution(3)
-    bar_table = hr_via_bar(A, 2, 3, n=2)
-    rep_table = hr_n(R, 2, 2, 3)
-    assert bar_table == rep_table
+    for d, w in SWEEP[:-1]:
+        R = dual_numbers_resolution(d + 1)
+        assert hr_via_bar(A, d, w, n=2) == hr_n(R, 2, d, w), (d, w)
+
+
+def _brute_force_level(A, n, weight_cap):
+    """Level n by definition: every multiset of depth-n trees of total
+    weight <= weight_cap, minus those in which some layer is singleton
+    brackets in every factor; ordered by weight, then monomial."""
+    ideal = A.augmented_split()[1]
+    trees = [(A.weights[i], i) for i in ideal if A.weights[i] <= weight_cap]
+    for _ in range(n):
+        trees = [(sum(w for w, _ in kids), tuple(t for _, t in kids))
+                 for k in range(1, weight_cap + 1)
+                 for kids in itertools.product(trees, repeat=k)
+                 if sum(w for w, _ in kids) <= weight_cap]
+    trees.sort()
+
+    def layer(tree, j):
+        nodes = [tree]
+        for _ in range(j - 1):
+            nodes = [child for node in nodes for child in node]
+        return nodes
+
+    out = []
+    for k in range(weight_cap + 1):
+        for combo in itertools.combinations_with_replacement(trees, k):
+            weight = sum(w for w, _ in combo)
+            mono = tuple(sorted(t for _, t in combo))
+            degenerate = n > 0 and (not mono or any(
+                all(len(b) == 1 for t in mono for b in layer(t, j))
+                for j in range(1, n + 1)))
+            if weight <= weight_cap and not degenerate:
+                out.append((weight, mono))
+    return [mono for _, mono in sorted(out)]
+
+
+@pytest.mark.parametrize("A, levels, weight_cap", [
+    (dual_numbers_algebra(), 4, 4),
+    (free_tensor_algebra(2, 3), 3, 3),
+], ids=["dual-numbers", "free:2"])
+def test_level_basis_matches_brute_force(A, levels, weight_cap):
+    for n in range(levels):
+        assert bar_level_basis(A, n, weight_cap).basis == \
+            _brute_force_level(A, n, weight_cap), n
 
 
 def test_matrix_variant_on_poly_algebra():

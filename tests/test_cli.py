@@ -6,6 +6,7 @@ import os
 import pytest
 
 from symhom import cli
+from symhom.bar import CapOverflowError
 from symhom.betti import BettiTable
 from symhom.freealg import dual_numbers_resolution
 
@@ -215,3 +216,13 @@ def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise CapOverflowError("bar complex exceeds budget 1 at level 0")
+
+    monkeypatch.setattr(cli, "hr_via_bar", over_budget)
+    code, out, err = run(capsys, "hs", "dual-numbers", "--pipeline", "bar")
+    assert code == 3 and out == ""
+    assert err == "error: bar complex exceeds budget 1 at level 0\n"

@@ -113,6 +113,30 @@ def test_kernel_vectors_independent():
         assert rank(stack) == len(ker)
 
 
+def test_from_images_writes_columns_on_the_target_basis():
+    M = SparseMatrix.from_images(
+        ["u", "v"], ["a", "b", "c"],
+        lambda x: {"a": QQ(1), "c": QQ(2)} if x == "u" else {"b": QQ(-1)})
+    assert M == SparseMatrix.from_dense([[1, 0], [0, -1], [2, 0]])
+
+
+def test_from_images_rejects_a_term_outside_the_target():
+    with pytest.raises(KeyError):
+        SparseMatrix.from_images(["u"], ["a", "b"],
+                                 lambda x: {"a": QQ(1), "z": QQ(3)})
+
+
+def test_add_term_cancels_and_keeps_ints():
+    acc = {}
+    linalg.add_term(acc, "k", 2)
+    linalg.add_term(acc, "j", QQ(1, 2))
+    linalg.add_term(acc, "k", -2)
+    linalg.add_term(acc, "i", 0)
+    assert acc == {"j": QQ(1, 2)}
+    linalg.add_term(acc, "n", 3)
+    assert type(acc["n"]) is int
+
+
 def test_matmul_shapes_and_values():
     A = SparseMatrix.from_dense([[1, 2], [3, 4]])
     B = SparseMatrix.from_dense([[0, 1], [1, 0]])
