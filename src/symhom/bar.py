@@ -93,33 +93,35 @@ def _trees(A, ideal, depth, weight, cache):
     return out
 
 
-def _singleton_layers(tree, depth):
-    """Frozenset of layers (1-based) whose brackets are all singletons."""
+def _singleton_layers(tree, depth, cache):
+    """Bitmask of the layers whose brackets are all singletons (bit j - 1
+    for layer j), memoized per (tree, depth) in the per-call cache."""
     if depth == 0:
-        return frozenset()
-    layers = {1} if len(tree) == 1 else set()
+        return 0
+    key = ("layers", tree, depth)
+    if key in cache:
+        return cache[key]
+    mask = 1 if len(tree) == 1 else 0
     if depth > 1:
-        deeper = None
+        deeper = -1
         for child in tree:
-            s = _singleton_layers(child, depth - 1)
-            deeper = s if deeper is None else deeper & s
-        layers |= {j + 1 for j in deeper}
-    return frozenset(layers)
+            deeper &= _singleton_layers(child, depth - 1, cache)
+        mask |= deeper << 1
+    cache[key] = mask
+    return mask
 
 
-def _is_degenerate(mono, n):
-    """True when the monomial lies in the image of some degeneracy."""
+def _is_degenerate(mono, n, cache):
+    """True when the monomial lies in the image of some degeneracy; the
+    unit monomial is constant, hence degenerate."""
     if n == 0:
         return False
-    common = None
+    common = -1
     for t in mono:
-        s = _singleton_layers(t, n)
-        common = s if common is None else common & s
-        if common is not None and not common:
+        common &= _singleton_layers(t, n, cache)
+        if not common:
             return False
-    if common is None:
-        return True  # the unit monomial is constant, hence degenerate
-    return bool(common)
+    return True
 
 
 def _weight_monomials(A, ideal, n, weight, cache):
@@ -136,7 +138,7 @@ def _weight_monomials(A, ideal, n, weight, cache):
     def rec(start, remaining, acc):
         if remaining == 0:
             mono = tuple(sorted(acc))
-            if not _is_degenerate(mono, n):
+            if not _is_degenerate(mono, n, cache):
                 out.append(mono)
             return
         for idx in range(start, len(pool)):
@@ -148,7 +150,7 @@ def _weight_monomials(A, ideal, n, weight, cache):
             acc.pop()
 
     if weight == 0:
-        if not _is_degenerate((), n):
+        if not _is_degenerate((), n, cache):
             out.append(())
     else:
         rec(0, weight, [])

@@ -39,6 +39,30 @@ def _split_builtin(name):
     return name, None
 
 
+def _input_name(name):
+    """argparse type of an input: a built-in's size argument (poly:N,
+    free:N, abelian:N) must be an integer >= 1."""
+    try:
+        _, size = _split_builtin(name)
+    except ValueError:
+        size = 0
+    if size is not None and size < 1:
+        raise argparse.ArgumentTypeError(
+            "size argument of %s must be an integer >= 1" % name)
+    return name
+
+
+def _at_least(low):
+    """argparse type of an integer option that must be >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (low, value))
+        return value
+    return integer
+
+
 def load_algebra(name, weight_cap):
     """A finite-dimensional algebra from a built-in name or JSON path."""
     head, arg = _split_builtin(name)
@@ -136,8 +160,14 @@ def _cache_dir(args):
     return args.cache_dir or os.environ.get("SYMHOM_CACHE_DIR")
 
 
+# Raised whenever a fix changes some computed table, so that no entry
+# cached before the fix is served.  2: cobar generators kept past the caps.
+ALGORITHM_VERSION = 2
+
+
 def _digest(job):
-    payload = json.dumps(job, sort_keys=True) + "|" + __version__
+    payload = "%s|%s|%d" % (json.dumps(job, sort_keys=True), __version__,
+                            ALGORITHM_VERSION)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -341,40 +371,40 @@ def build_parser():
 
     def common(sp, caps=True):
         if caps:
-            sp.add_argument("--deg-cap", type=int, default=4)
-            sp.add_argument("--weight-cap", type=int, default=6)
+            sp.add_argument("--deg-cap", type=_at_least(0), default=4)
+            sp.add_argument("--weight-cap", type=_at_least(0), default=6)
         sp.add_argument("--format", choices=["human", "json", "csv"],
                         default="human")
         sp.add_argument("--cache-dir", default=None)
 
     sp = sub.add_parser("hs", help="symmetric homology Betti table")
-    sp.add_argument("input")
+    sp.add_argument("input", type=_input_name)
     sp.add_argument("--pipeline",
                     choices=["dg", "bar", "cobar", "closed-form"])
     sp.add_argument("--n", type=int, default=1,
                     help="matrix size for the bar pipeline")
-    sp.add_argument("--dim", type=int, default=None,
+    sp.add_argument("--dim", type=_at_least(1), default=None,
                     help="dimension argument for built-ins like poly")
     common(sp)
     sp.set_defaults(func=cmd_hs)
 
     sp = sub.add_parser("hr", help="representation homology of a resolution")
-    sp.add_argument("input")
+    sp.add_argument("input", type=_input_name)
     sp.add_argument("--n", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_hr)
 
     for name, fn in (("hs0", cmd_hs0), ("hc0", cmd_hc0)):
         sp = sub.add_parser(name, help="degree-0 coequalizer dimension")
-        sp.add_argument("input")
+        sp.add_argument("input", type=_input_name)
         sp.add_argument("--arity-cap", type=int, default=3)
-        sp.add_argument("--weight-cap", type=int, default=4)
+        sp.add_argument("--weight-cap", type=_at_least(0), default=4)
         common(sp, caps=False)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("ce", help="Chevalley-Eilenberg homology dims")
-    sp.add_argument("input")
-    sp.add_argument("--deg-cap", type=int, default=4)
+    sp.add_argument("input", type=_input_name)
+    sp.add_argument("--deg-cap", type=_at_least(0), default=4)
     common(sp, caps=False)
     sp.set_defaults(func=cmd_ce)
 

@@ -161,9 +161,6 @@ class CommDGAlgebra:
         out.sort()
         return out
 
-    def monomial_names(self, mono):
-        return tuple(self.generators[i].name for i in mono)
-
     def block_matrix(self, hdeg, weight, basis=None):
         """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift).
 

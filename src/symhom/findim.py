@@ -7,6 +7,7 @@ basis truncated at a weight bound, with products beyond the bound
 discarded -- sound for any weight-graded computation below the bound.
 """
 
+import itertools
 import json
 
 from .linalg import add_term
@@ -51,9 +52,6 @@ class FinDimAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def basis_weight(self, i):
-        return self.weights[i] if self.weights is not None else None
-
     def multiply_basis(self, i, j):
         return self.mult.get((i, j), {})
 
@@ -72,36 +70,43 @@ class FinDimAlgebra:
             out = self.multiply(out, {i: QQ(1)})
         return out
 
-    def _within_truncation(self, *indices):
+    def _triples(self):
+        """Every basis triple (i, j, k) inside the truncation; the basis is
+        bucketed by weight, so no triple beyond it is visited."""
         if self.truncation is None:
-            return True
-        return sum(self.weights[i] for i in indices) <= self.truncation
+            yield from itertools.product(range(self.dim), repeat=3)
+            return
+        by_weight = {}
+        for i, w in enumerate(self.weights):
+            by_weight.setdefault(w, []).append(i)
+        for wi, wj, wk in itertools.product(sorted(by_weight), repeat=3):
+            if wi + wj + wk <= self.truncation:
+                yield from itertools.product(
+                    by_weight[wi], by_weight[wj], by_weight[wk])
 
     def validate(self):
-        """Unitality, associativity, and weight additivity on the basis."""
+        """Unitality, weight additivity on the basis, and associativity on
+        every basis triple inside the truncation."""
         for b in range(self.dim):
             e = {b: QQ(1)}
             if self.multiply(self.unit, e) != e or \
                     self.multiply(e, self.unit) != e:
                 raise ValueError("unit fails on %s" % self.basis[b])
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.weights is not None:
-                    wij = self.weights[i] + self.weights[j]
-                    for k in self.multiply_basis(i, j):
-                        if self.weights[k] != wij:
-                            raise ValueError(
-                                "product %s*%s not weight-homogeneous"
-                                % (self.basis[i], self.basis[j]))
-                for k in range(self.dim):
-                    if not self._within_truncation(i, j, k):
-                        continue
-                    lhs = self.multiply(self.multiply_basis(i, j), {k: QQ(1)})
-                    rhs = self.multiply({i: QQ(1)}, self.multiply_basis(j, k))
-                    if lhs != rhs:
+        if self.weights is not None:
+            for (i, j), vec in self.mult.items():
+                wij = self.weights[i] + self.weights[j]
+                for k in vec:
+                    if self.weights[k] != wij:
                         raise ValueError(
-                            "associativity fails on (%s, %s, %s)"
-                            % (self.basis[i], self.basis[j], self.basis[k]))
+                            "product %s*%s not weight-homogeneous"
+                            % (self.basis[i], self.basis[j]))
+        for i, j, k in self._triples():
+            lhs = self.multiply(self.multiply_basis(i, j), {k: QQ(1)})
+            rhs = self.multiply({i: QQ(1)}, self.multiply_basis(j, k))
+            if lhs != rhs:
+                raise ValueError(
+                    "associativity fails on (%s, %s, %s)"
+                    % (self.basis[i], self.basis[j], self.basis[k]))
 
     # augmented structure (needed by the bar pipeline) --------------------
 

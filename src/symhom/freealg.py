@@ -41,10 +41,6 @@ class NCPoly:
                     self.terms[tuple(word)] = c
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def gen(cls, name, coeff=1):
         return cls({(name,): QQ(coeff)})
 

@@ -339,9 +339,14 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
 
 
 def hs_env_via_cobar(a, deg_cap, weight_cap):
-    """Betti table of the abelianized cobar construction on CE(a)."""
-    C = ce_complex(a, deg_cap + 2)
-    omega = cobar(C, deg_cap, weight_cap)
+    """Betti table of the abelianized cobar construction on CE(a).
+
+    The entries at the top degree and weight need the incoming block from
+    degree deg_cap + 1 and weight weight_cap + 1 (d lowers weight by one),
+    so the generators are kept one step past both caps.
+    """
+    C = ce_complex(a, deg_cap + 3)
+    omega = cobar(C, deg_cap + 1, weight_cap + 1)
     S = abelianize(omega)
     return S.homology_table(deg_cap, weight_cap)
 

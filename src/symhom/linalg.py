@@ -4,12 +4,16 @@ Vectors are dictionaries key -> nonzero scalar; add_term is the one "add,
 drop if zero" step on them.  Matrices are dictionaries (row, col) ->
 nonzero rational, and SparseMatrix.from_images is the one block builder:
 every block of every complex in the package is the matrix of the images
-of a source basis, written on a target basis.  Elimination is
-plain rational Gaussian elimination with a Markowitz-style pivot choice
-(sparsest column, then sparsest row in it), which keeps fill-in tolerable
-on the face-map matrices produced elsewhere in the package.  The sparsest
-column comes off a heap of (count, column) entries, refreshed lazily, so
-choosing a pivot does not rescan every active column.
+of a source basis, written on a target basis.
+
+eliminate is the one elimination of the package: rational Gaussian
+elimination on sparse rows with a Markowitz-style pivot choice (sparsest
+column, then sparsest row in it), which keeps fill-in tolerable on the
+face-map matrices produced elsewhere in the package.  The sparsest column
+comes off a heap of (count, column) entries, refreshed lazily, so
+choosing a pivot does not rescan every active column.  Its pivots give
+the rank (their number), a kernel basis (back-substitution over them) and
+quotient normal forms (reduction by them, QuotientSpace).
 
 homology_by_blocks is the one homology loop of the package: given the
 positions of a bigraded complex and a block builder, it builds and ranks
@@ -22,15 +26,14 @@ from .rationals import QQ, ZERO
 
 __all__ = [
     "SparseMatrix",
-    "SubspaceBasis",
     "add_term",
     "QuotientSpace",
     "CompositionNonZeroError",
+    "eliminate",
     "rank",
     "kernel_basis",
     "homology_dim",
     "homology_by_blocks",
-    "rank_of_rows",
 ]
 
 
@@ -42,9 +45,9 @@ def add_term(acc, key, c):
     """acc[key] += c in a sparse vector, dropping the key when it cancels.
 
     The type of c is kept for a new key, so int counts stay ints.  The
-    elimination loops (rank_of_rows, _echelon, QuotientSpace.project,
-    SparseMatrix.matmul) and CommDGAlgebra.d/mul spell this step out
-    inline: a call per term there is a measurable share of their time.
+    inner loops of eliminate, QuotientSpace.project, SparseMatrix.matmul
+    and CommDGAlgebra.d/mul spell this step out inline: a call per term
+    there is a measurable share of their time.
     """
     if key in acc:
         s = acc[key] + c
@@ -158,30 +161,18 @@ class SparseMatrix:
             self.rows, self.cols, len(self.entries))
 
 
-class SubspaceBasis:
-    """A list of linearly independent sparse vectors in k^ambient_dim."""
+def eliminate(rows):
+    """Markowitz elimination of a list of sparse rows (dicts col -> scalar).
 
-    def __init__(self, ambient_dim, vectors):
-        self.ambient_dim = ambient_dim
-        self.vectors = list(vectors)
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
-def rank_of_rows(rows):
-    """Rank of a list of sparse rows (dicts col -> scalar).
-
-    Destroys its input.  Pivot choice: the column hit by the fewest active
-    rows, then the shortest row in that column; ties go to the lower
-    index.  The heap holds, for every active column, an entry with its
-    current count: counts change only in the columns of the pivot row,
-    which get a fresh entry when the pivot retires.  Entries for retired
-    columns or old counts are skipped when popped, so the first current
-    entry is the minimum (count, column).
+    Destroys its input and returns the pivots [(col, row)] in elimination
+    order; each pivot row is zero in the columns of the pivots before it,
+    and the pivot rows span the row space of the input.  Pivot choice:
+    the column hit by the fewest active rows, then the shortest row in
+    that column; ties go to the lower index.  The heap holds, for every
+    active column, an entry with its current count: counts change only in
+    the columns of the pivot row, which get a fresh entry when the pivot
+    retires.  Entries for retired columns or old counts are skipped when
+    popped, so the first current entry is the minimum (count, column).
     """
     rows = [r for r in rows if r]
     col_rows = {}
@@ -190,7 +181,7 @@ def rank_of_rows(rows):
             col_rows.setdefault(c, set()).add(rid)
     heap = [(len(s), c) for c, s in col_rows.items()]
     heap.sort()
-    rank = 0
+    pivots = []
     while col_rows:
         count, c = heappop(heap)
         rids = col_rows.get(c)
@@ -222,77 +213,40 @@ def rank_of_rows(rows):
             else:
                 del col_rows[cc]
         rows[piv] = {}
-        rank += 1
-    return rank
+        pivots.append((c, piv_row))
+    return pivots
 
 
 def rank(M):
     """Rank of M over the rationals."""
-    return rank_of_rows(M.row_dicts())
-
-
-def _echelon(rows):
-    """Deterministic left-to-right echelon form.
-
-    Returns a list of (pivot_col, row_dict) with each row scaled to pivot 1
-    and fully reduced against the others (RREF rows).
-    """
-    pivots = []  # (col, row)
-    for row in rows:
-        row = dict(row)
-        for pc, prow in pivots:
-            if pc in row:
-                factor = row[pc]
-                for cc, vv in prow.items():
-                    w = row.get(cc, ZERO) - factor * vv
-                    if w:
-                        row[cc] = w
-                    elif cc in row:
-                        del row[cc]
-        if not row:
-            continue
-        pc = min(row)
-        pv = row[pc]
-        row = {cc: vv / pv for cc, vv in row.items()}
-        # back-reduce existing pivots
-        for i, (opc, orow) in enumerate(pivots):
-            if pc in orow:
-                factor = orow[pc]
-                new = dict(orow)
-                for cc, vv in row.items():
-                    w = new.get(cc, ZERO) - factor * vv
-                    if w:
-                        new[cc] = w
-                    elif cc in new:
-                        del new[cc]
-                pivots[i] = (opc, new)
-        pivots.append((pc, row))
-    pivots.sort(key=lambda t: t[0])
-    return pivots
+    return len(eliminate(M.row_dicts()))
 
 
 def kernel_basis(M):
-    """Basis of the right null space of M; length = cols - rank."""
-    pivots = _echelon(M.row_dicts())
-    pivot_cols = [pc for pc, _ in pivots]
-    pivot_set = set(pivot_cols)
+    """Basis of the right null space of M, as a list of sparse vectors;
+    length = cols - rank.  One vector per non-pivot column f: x_f = 1,
+    the other non-pivot coordinates 0, and the pivot coordinates solved
+    from the pivot rows, last pivot first."""
+    pivots = eliminate(M.row_dicts())
+    pivot_set = {pc for pc, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
     vectors = []
     for f in free_cols:
         vec = {f: QQ(1)}
-        # RREF: pivot row gives x_pc = -row[f] * x_f directly
-        for pc, row in pivots:
-            if f in row:
-                vec[pc] = -row[f]
+        for pc, row in reversed(pivots):
+            s = sum(v * vec[j] for j, v in row.items() if j in vec)
+            if s:
+                vec[pc] = -s / row[pc]
         vectors.append(vec)
-    return SubspaceBasis(M.cols, vectors)
+    return vectors
 
 
 class QuotientSpace:
     """k^ambient_dim modulo the span of a list of sparse relation vectors.
 
     Coordinates are arbitrary hashable labels.  The quotient basis is the
-    set of non-pivot labels of the reduced echelon form of the relations.
+    set of non-pivot labels of the eliminated relations; a vector projects
+    to its unique representative supported on them.
     """
 
     def __init__(self, labels, relations):
@@ -300,7 +254,7 @@ class QuotientSpace:
         order = {lab: i for i, lab in enumerate(self.labels)}
         rows = [{order[lab]: QQ(v) for lab, v in rel.items() if v}
                 for rel in relations]
-        self._pivots = _echelon(rows)
+        self._pivots = eliminate(rows)
         pivot_set = {pc for pc, _ in self._pivots}
         self.basis = [lab for i, lab in enumerate(self.labels)
                       if i not in pivot_set]
@@ -315,7 +269,7 @@ class QuotientSpace:
         v = {self._order[lab]: QQ(c) for lab, c in vec.items() if c}
         for pc, row in self._pivots:
             if pc in v:
-                factor = v[pc]
+                factor = v[pc] / row[pc]
                 for cc, vv in row.items():
                     w = v.get(cc, ZERO) - factor * vv
                     if w:

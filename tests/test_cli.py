@@ -1,11 +1,12 @@
 """Command-line interface: pipelines, formats, caching, comparison."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from symhom import cli
+from symhom import __version__, cli
 from symhom.bar import CapOverflowError
 from symhom.betti import BettiTable
 from symhom.freealg import dual_numbers_resolution
@@ -226,3 +227,38 @@ def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
     code, out, err = run(capsys, "hs", "dual-numbers", "--pipeline", "bar")
     assert code == 3 and out == ""
     assert err == "error: bar complex exceeds budget 1 at level 0\n"
+
+
+def test_entry_cached_under_the_old_key_is_not_served(tmp_path, capsys):
+    args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
+            "--weight-cap", "4", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code1, fresh, _ = run(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    record = json.loads(entry.read_text())
+    entry.unlink()
+    # the key before the algorithm version was part of it, holding a
+    # table that no current route computes
+    old_key = hashlib.sha256((json.dumps(record["job"], sort_keys=True)
+                              + "|" + __version__).encode()).hexdigest()
+    record["result"]["entries"] = []
+    (tmp_path / (old_key + ".json")).write_text(json.dumps(record))
+    code2, out, _ = run(capsys, *args)
+    assert code1 == code2 == 0 and out == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["hs", "dual-numbers", "--pipeline", "bar", "--deg-cap", "-2"],
+    ["hs", "dual-numbers", "--weight-cap", "-1"],
+    ["ce", "sl2", "--deg-cap", "-3"],
+    ["hs", "poly:-1", "--deg-cap", "1", "--weight-cap", "2"],
+    ["hs", "free:0", "--pipeline", "bar"],
+    ["hs", "poly", "--dim", "0"],
+])
+def test_out_of_range_value_exits_2_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert len([line for line in out.err.splitlines()
+                if "error:" in line]) == 1

@@ -34,6 +34,18 @@ def test_broken_associativity_rejected():
         FinDimAlgebra(A.basis, {"e11": 1, "e22": 1}, mult)
 
 
+def test_broken_associativity_at_the_truncation_weight_rejected():
+    # k[x] truncated at weight 3, with x * x^2 = 2 x^3 but x^2 * x = x^3:
+    # only the triple (x, x, x), of weight exactly 3, sees the fault
+    A = truncated_poly_algebra(3)
+    mult = dict(A.mult)
+    mult[(1, 2)] = {3: QQ(2)}
+    with pytest.raises(ValueError, match="associativity"):
+        FinDimAlgebra(A.basis, {"1": 1}, mult,
+                      weights={b: i for i, b in enumerate(A.basis)},
+                      truncation=3)
+
+
 def test_non_homogeneous_weights_rejected():
     with pytest.raises(ValueError):
         FinDimAlgebra(

@@ -189,6 +189,26 @@ def test_quotient_space_relations_project_to_zero():
     assert q.dim >= len(labels) - len(rels)
 
 
+def test_quotient_space_matches_dense_reference():
+    rng = random.Random(202)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 2:
+            M = tie_heavy_matrix(rng, rows, cols)
+        else:
+            M = random_matrix(rng, rows, cols, density=rng.random() * 0.5)
+        # labels in an order unrelated to the columns
+        labels = [("v", j) for j in range(cols)]
+        rng.shuffle(labels)
+        rels = [{labels[j]: c for j, c in r.items()} for r in M.row_dicts()]
+        q = QuotientSpace(labels, rels)
+        assert q.dim == cols - dense_rank(M)
+        for rel in rels:
+            assert q.project(rel) == {}
+        for lab in q.basis:
+            assert q.project({lab: QQ(1)}) == {lab: QQ(1)}
+
+
 def test_quotient_projection_is_linear():
     rng = random.Random(3)
     labels = list("abcdef")
