@@ -256,8 +256,7 @@ def face_map(A, n, i, element):
     return out
 
 
-def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
-               check=True):
+def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     """Betti table of the normalized abelianized bar complex of A.
 
     For n >= 2 each tensor factor is expanded into a generic n x n
@@ -308,4 +307,4 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET,
     positions = [(lev, w) for lev in range(deg_cap + 1)
                  for w in range(weight_cap + 1)]
     return BettiTable(deg_cap, weight_cap,
-                      homology_by_blocks(positions, block, 0, check))
+                      homology_by_blocks(positions, block, 0))

@@ -1,11 +1,11 @@
 """Command-line front end: run the pipelines on built-in or JSON inputs,
 emit Betti tables in several formats, cache results, and compare runs.
 
-Built-in inputs: dual-numbers, poly:N (truncated k[x], or an
-N-dimensional abelian Lie algebra for the cobar routes), free:N, sl2,
-heisenberg, nab2, m2, ut2.  JSON files are sniffed by their keys:
-"generators" -> DG resolution, "mult" -> structure-constant algebra,
-"bracket"/"basis"-with-degrees -> Lie algebra.
+BUILTINS, KINDS and PIPELINES below are the one place that knows the
+inputs and the routes.  An input is a built-in name (size argument as in
+poly:3) or a JSON file, sniffed by its keys when no pipeline names its
+kind: "generators" -> DG resolution, "mult" -> structure-constant
+algebra, otherwise a Lie algebra.
 """
 
 import argparse
@@ -32,23 +32,116 @@ from .lie import (DGLie, abelian_lie, ce_homology, heisenberg,
 from .repfun import hr_n
 
 
-def _split_builtin(name):
-    if ":" in name:
-        head, arg = name.split(":", 1)
-        return head, int(arg)
-    return name, None
+# inputs and routes ------------------------------------------------------
+
+# name -> {kind: factory(size, deg_cap, weight_cap)}; size is the N of
+# name:N (1 when absent).  The first kind is the one hs reads by default.
+BUILTINS = {
+    "dual-numbers": {
+        "resolution": lambda size, d, w: dual_numbers_resolution(d + 1),
+        "algebra": lambda *_: dual_numbers_algebra()},
+    "poly": {"lie": lambda size, d, w: abelian_lie(size),
+             "algebra": lambda size, d, w: truncated_poly_algebra(w)},
+    "free": {
+        "algebra": lambda size, d, w: free_tensor_algebra(size, w),
+        "resolution": lambda size, d, w:
+            free_resolution_of_tensor_algebra(size)},
+    "m2": {"algebra": lambda *_: matrix_algebra(2)},
+    "ut2": {"algebra": lambda *_: upper_triangular_algebra()},
+    "sl2": {"lie": lambda *_: sl2()},
+    "heisenberg": {"lie": lambda *_: heisenberg()},
+    "nab2": {"lie": lambda *_: nonabelian_2dim()},
+    "abelian": {"lie": lambda size, d, w: abelian_lie(size)},
+}
+
+# kind -> (default pipeline, JSON parser, key that marks a JSON file of
+# this kind); a file with none of the keys is of the last kind.
+KINDS = {
+    "resolution": ("dg", FreeDGAlgebra.from_json, "generators"),
+    "algebra": ("bar", FinDimAlgebra.from_json, "mult"),
+    "lie": ("cobar", DGLie.from_json, None),
+}
+
+# pipeline -> (kind it reads, table(input, deg_cap, weight_cap, n))
+PIPELINES = {
+    "dg": ("resolution",
+           lambda R, d, w, n: abelianize(R).homology_table(d, w)),
+    "bar": ("algebra", lambda A, d, w, n: hr_via_bar(A, d, w, n=n)),
+    "cobar": ("lie", lambda a, d, w, n: hs_env_via_cobar(a, d, w)),
+    "closed-form": ("lie", lambda a, d, w, n: hs_env_closed_form(a, d, w)),
+}
+
+
+def _builtin(name):
+    """(factories, size) of a built-in name, or None when the head of name
+    before ":" is no built-in (name is then a path)."""
+    head, colon, arg = name.partition(":")
+    if head not in BUILTINS:
+        return None
+    try:
+        size = int(arg) if colon else 1
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise ValueError("size argument of %s must be an integer >= 1"
+                         % name)
+    return BUILTINS[head], size
+
+
+def load(name, kind=None, deg_cap=None, weight_cap=None):
+    """(kind, input) for a built-in name or a JSON path.
+
+    kind None means the built-in's first kind, or the kind a JSON file's
+    keys mark.  Raises ValueError when a built-in has no such kind or the
+    file does not parse as one.
+    """
+    builtin = _builtin(name)
+    if builtin is not None:
+        factories, size = builtin
+        kind = kind or next(iter(factories))
+        if kind not in factories:
+            raise ValueError("built-in %s has no %s form (it has: %s)"
+                             % (name, kind, ", ".join(factories)))
+        return kind, factories[kind](size, deg_cap, weight_cap)
+    if kind is None:
+        data = _parse_input(name, json.loads, "JSON")
+        if not isinstance(data, dict):
+            raise ValueError("JSON input %s is not an object" % name)
+        kind = next(k for k, (_, _, key) in KINDS.items()
+                    if key is None or key in data)
+    return kind, _parse_input(name, KINDS[kind][1], kind)
+
+
+def _parse_input(path, parse, kind):
+    """parse(text of the file at path); an unreadable file, malformed
+    JSON, a missing key or a value of the wrong shape becomes a ValueError
+    that names the file."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ValueError("%s input %s cannot be read: %s"
+                         % (kind, path, exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s input %s is not valid JSON: %s"
+                         % (kind, path, exc)) from None
+    except KeyError as exc:
+        raise ValueError("%s input %s: missing or unknown key %s"
+                         % (kind, path, exc)) from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("%s input %s is malformed: %s"
+                         % (kind, path, exc)) from None
 
 
 def _input_name(name):
-    """argparse type of an input: a built-in's size argument (poly:N,
-    free:N, abelian:N) must be an integer >= 1."""
+    """argparse type of an input: a built-in (N >= 1 in poly:N, free:N,
+    abelian:N) or an existing file."""
     try:
-        _, size = _split_builtin(name)
-    except ValueError:
-        size = 0
-    if size is not None and size < 1:
-        raise argparse.ArgumentTypeError(
-            "size argument of %s must be an integer >= 1" % name)
+        if _builtin(name) is None and not os.path.isfile(name):
+            raise ValueError("unknown input %s: neither a built-in (%s) nor "
+                             "an existing file" % (name, ", ".join(BUILTINS)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return name
 
 
@@ -63,102 +156,7 @@ def _at_least(low):
     return integer
 
 
-def load_algebra(name, weight_cap):
-    """A finite-dimensional algebra from a built-in name or JSON path."""
-    head, arg = _split_builtin(name)
-    if head == "dual-numbers":
-        return dual_numbers_algebra()
-    if head == "poly":
-        return truncated_poly_algebra(weight_cap)
-    if head == "free":
-        return free_tensor_algebra(arg or 1, weight_cap)
-    if head == "m2":
-        return matrix_algebra(2)
-    if head == "ut2":
-        return upper_triangular_algebra()
-    if os.path.exists(name):
-        return _parse_input(name, FinDimAlgebra.from_json, "algebra")
-    raise SystemExit("unknown algebra input: %s" % name)
-
-
-def load_resolution(name, deg_cap):
-    head, arg = _split_builtin(name)
-    if head == "dual-numbers":
-        return dual_numbers_resolution(deg_cap + 1)
-    if head == "free":
-        return free_resolution_of_tensor_algebra(arg or 1)
-    if os.path.exists(name):
-        return _parse_input(name, FreeDGAlgebra.from_json, "resolution")
-    raise SystemExit("unknown resolution input: %s" % name)
-
-
-def load_lie(name):
-    head, arg = _split_builtin(name)
-    if head == "sl2":
-        return sl2()
-    if head == "heisenberg":
-        return heisenberg()
-    if head == "nab2":
-        return nonabelian_2dim()
-    if head in ("abelian", "poly"):
-        return abelian_lie(arg or 1)
-    if os.path.exists(name):
-        return _parse_input(name, DGLie.from_json, "Lie")
-    raise SystemExit("unknown Lie input: %s" % name)
-
-
-def _parse_input(path, parse, kind):
-    """parse(text of the file at path); malformed JSON, a missing key or a
-    value of the wrong shape becomes a ValueError that names the file."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("%s input %s is not valid JSON: %s"
-                         % (kind, path, exc)) from None
-    except KeyError as exc:
-        raise ValueError("%s input %s: missing or unknown key %s"
-                         % (kind, path, exc)) from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError("%s input %s is malformed: %s"
-                         % (kind, path, exc)) from None
-
-
-def _sniff_json(path):
-    data = _parse_input(path, json.loads, "JSON")
-    if not isinstance(data, dict):
-        raise ValueError("JSON input %s is not an object" % path)
-    if "generators" in data:
-        return "resolution"
-    if "mult" in data:
-        return "algebra"
-    return "lie"
-
-
-def _default_pipeline(name):
-    head, _ = _split_builtin(name)
-    if head in ("sl2", "heisenberg", "nab2", "abelian"):
-        return "cobar"
-    if head == "poly":
-        return "cobar"
-    if head in ("m2", "ut2"):
-        return "bar"
-    if head == "dual-numbers":
-        return "dg"
-    if head == "free":
-        return "bar"
-    if os.path.exists(name):
-        return {"resolution": "dg", "algebra": "bar",
-                "lie": "cobar"}[_sniff_json(name)]
-    return "dg"
-
-
 # cache ------------------------------------------------------------------
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get("SYMHOM_CACHE_DIR")
-
 
 # Raised whenever a fix changes some computed table, so that no entry
 # cached before the fix is served.  2: cobar generators kept past the caps.
@@ -171,161 +169,130 @@ def _digest(job):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_get(args, job):
-    d = _cache_dir(args)
+def _cached_table(args, job, compute):
+    """The BettiTable compute() returns, served from and written to the
+    cache dir (--cache-dir or SYMHOM_CACHE_DIR) when one is set."""
+    d = args.cache_dir or os.environ.get("SYMHOM_CACHE_DIR")
     if not d:
-        return None
-    path = os.path.join(d, _digest(job) + ".json")
+        return compute()
+    digest = _digest(job)
+    path = os.path.join(d, digest + ".json")
     try:
         with open(path) as fh:
             record = json.load(fh)
     except (OSError, ValueError):
-        return None  # absent or unreadable: a miss, rewritten by _cache_put
-    if not isinstance(record, dict) or record.get("job") != job \
-            or "result" not in record:
-        return None
-    return record
-
-
-def _cache_put(args, job, result, wall):
-    d = _cache_dir(args)
-    if not d:
-        return
+        record = None  # absent or unreadable: a miss, rewritten below
+    if isinstance(record, dict) and record.get("job") == job \
+            and "result" in record:
+        return BettiTable.from_json(json.dumps(record["result"]))
+    t0 = time.time()
+    table = compute()
     os.makedirs(d, exist_ok=True)
-    record = {"digest": _digest(job), "job": job, "result": result,
-              "wall_time": wall, "version": __version__}
-    path = os.path.join(d, _digest(job) + ".json")
+    record = {"digest": digest, "job": job,
+              "result": json.loads(table.to_json()),
+              "wall_time": time.time() - t0, "version": __version__}
     # write a private temp file and rename it over the entry, so a reader
     # never sees a half-written entry
     tmp = "%s.%d.tmp" % (path, os.getpid())
     with open(tmp, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
     os.replace(tmp, path)
+    return table
 
 
 # output -----------------------------------------------------------------
 
-def _emit_table(table, fmt, out=None):
-    out = out or sys.stdout
+def _emit_table(table, fmt):
     if fmt == "json":
-        out.write(table.to_json() + "\n")
+        sys.stdout.write(table.to_json() + "\n")
     elif fmt == "csv":
-        out.write(table.to_csv())
+        sys.stdout.write(table.to_csv())
     else:
-        out.write(table.render() + "\n")
+        sys.stdout.write(table.render() + "\n")
 
 
-def _emit_scalar(value, fmt, out=None):
-    out = out or sys.stdout
+def _emit_scalar(value, fmt):
     if fmt == "json":
-        out.write(json.dumps(value) + "\n")
+        sys.stdout.write(json.dumps(value) + "\n")
     else:
-        out.write("%s\n" % value)
+        sys.stdout.write("%s\n" % value)
 
 
 # pipelines --------------------------------------------------------------
 
-def _run_hs(args):
+def _hs_table(args):
     job = {"cmd": "hs", "input": args.input, "pipeline": args.pipeline,
            "deg_cap": args.deg_cap, "weight_cap": args.weight_cap,
-           "n": args.n, "dim": args.dim}
-    cached = _cache_get(args, job)
-    if cached is not None:
-        return BettiTable.from_json(json.dumps(cached["result"])), job
-    t0 = time.time()
-    pipeline = args.pipeline or _default_pipeline(args.input)
-    name = args.input
-    if args.dim is not None and _split_builtin(name)[1] is None:
-        name = "%s:%d" % (name, args.dim)
-    if pipeline == "dg":
-        R = load_resolution(name, args.deg_cap)
-        table = abelianize(R).homology_table(args.deg_cap, args.weight_cap)
-    elif pipeline == "bar":
-        A = load_algebra(name, args.weight_cap)
-        table = hr_via_bar(A, args.deg_cap, args.weight_cap, n=args.n)
-    elif pipeline == "cobar":
-        a = load_lie(name)
-        table = hs_env_via_cobar(a, args.deg_cap, args.weight_cap)
-    elif pipeline == "closed-form":
-        a = load_lie(name)
-        table = hs_env_closed_form(a, args.deg_cap, args.weight_cap)
-    else:
-        raise SystemExit("unknown pipeline %s" % pipeline)
-    _cache_put(args, job, json.loads(table.to_json()), time.time() - t0)
-    return table, job
+           "n": args.n}
+
+    def compute():
+        kind = PIPELINES[args.pipeline][0] if args.pipeline else None
+        kind, value = load(args.input, kind, args.deg_cap, args.weight_cap)
+        route = PIPELINES[args.pipeline or KINDS[kind][0]][1]
+        return route(value, args.deg_cap, args.weight_cap, args.n)
+
+    return _cached_table(args, job, compute)
 
 
 def cmd_hs(args):
-    table, _ = _run_hs(args)
-    _emit_table(table, args.format)
+    _emit_table(_hs_table(args), args.format)
     return 0
 
 
 def cmd_hr(args):
     job = {"cmd": "hr", "input": args.input, "deg_cap": args.deg_cap,
            "weight_cap": args.weight_cap, "n": args.n}
-    cached = _cache_get(args, job)
-    if cached is not None:
-        table = BettiTable.from_json(json.dumps(cached["result"]))
-    else:
-        t0 = time.time()
-        R = load_resolution(args.input, args.deg_cap)
-        table = hr_n(R, args.n, args.deg_cap, args.weight_cap)
-        _cache_put(args, job, json.loads(table.to_json()), time.time() - t0)
-    _emit_table(table, args.format)
+
+    def compute():
+        _, R = load(args.input, "resolution", args.deg_cap, args.weight_cap)
+        return hr_n(R, args.n, args.deg_cap, args.weight_cap)
+
+    _emit_table(_cached_table(args, job, compute), args.format)
     return 0
 
 
 def cmd_hs0(args):
-    A = load_algebra(args.input, args.weight_cap)
+    _, A = load(args.input, "algebra", weight_cap=args.weight_cap)
     dim, _ = hs0_coequalizer(A, args.arity_cap)
     _emit_scalar(dim, args.format)
     return 0
 
 
 def cmd_hc0(args):
-    A = load_algebra(args.input, args.weight_cap)
+    _, A = load(args.input, "algebra", weight_cap=args.weight_cap)
     _emit_scalar(hc0_coequalizer(A, args.arity_cap), args.format)
     return 0
 
 
 def cmd_ce(args):
-    a = load_lie(args.input)
-    dims = ce_homology(a, args.deg_cap)
-    _emit_scalar(dims, args.format)
+    _, a = load(args.input, "lie", deg_cap=args.deg_cap)
+    _emit_scalar(ce_homology(a, args.deg_cap), args.format)
     return 0
 
 
 def cmd_deltas(args):
+    f = parse_morphism(args.args[0])
     if args.op == "compose":
-        f = parse_morphism(args.args[0])
         g = parse_morphism(args.args[1])
         print(format_morphism(compose(g, f)))
     elif args.op == "factor":
-        f = parse_morphism(args.args[0])
         sigma, mono = factorize(f)
         print("sigma:", " ".join(str(s) for s in sigma))
         print("monotone:", format_morphism(mono))
-    elif args.op == "psi":
-        f = parse_morphism(args.args[0])
+    else:  # psi; argparse admits no other op
         hom = psi_sym(f)
         for j, word in enumerate(hom.images):
             print("X%d -> %s" % (j, " ".join("x%d" % v for v in word) or "1"))
-    else:
-        raise SystemExit("unknown deltaS op %s" % args.op)
     return 0
 
 
 def cmd_compare(args):
     parser = build_parser()
-    results = []
-    for spec in (args.left, args.right):
-        sub = parser.parse_args(shlex.split(spec))
-        if sub.command != "hs":
-            raise SystemExit("compare expects two hs job specs")
-        table, _ = _run_hs(sub)
-        results.append(table)
-    left, right = results
+    subs = [parser.parse_args(shlex.split(spec))
+            for spec in (args.left, args.right)]
+    if any(sub.command != "hs" for sub in subs):
+        raise ValueError("compare expects two hs job specs")
+    left, right = (_hs_table(sub) for sub in subs)
     caps = (min(left.deg_cap, right.deg_cap),
             min(left.weight_cap, right.weight_cap))
     if (left.deg_cap, left.weight_cap) != (right.deg_cap, right.weight_cap):
@@ -341,7 +308,6 @@ def cmd_compare(args):
 
 
 def cmd_selftest(args):
-    from .findim import dual_numbers_algebra
     A = dual_numbers_algebra()
     R = dual_numbers_resolution(5)
     checks = [
@@ -379,12 +345,9 @@ def build_parser():
 
     sp = sub.add_parser("hs", help="symmetric homology Betti table")
     sp.add_argument("input", type=_input_name)
-    sp.add_argument("--pipeline",
-                    choices=["dg", "bar", "cobar", "closed-form"])
+    sp.add_argument("--pipeline", choices=list(PIPELINES))
     sp.add_argument("--n", type=int, default=1,
                     help="matrix size for the bar pipeline")
-    sp.add_argument("--dim", type=_at_least(1), default=None,
-                    help="dimension argument for built-ins like poly")
     common(sp)
     sp.set_defaults(func=cmd_hs)
 
@@ -426,6 +389,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code: 0 ok, 1 mismatch (compare
+    found differing entries, or a selftest check failed), 2 bad input (an
+    unknown or malformed input, an input with no form for the pipeline, a
+    value out of range), 3 over budget (CapOverflowError).  Exits 2 and 3
+    print one "error:" line on stderr and no traceback; argparse itself
+    exits 2 on an option or input it rejects.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -172,7 +172,7 @@ class CommDGAlgebra:
             basis(hdeg, weight), basis(hdeg - 1, weight + self.weight_shift),
             lambda mono: self.d({mono: ONE}))
 
-    def _homology(self, positions, check=True):
+    def _homology(self, positions):
         """{(h, w): dim} through the shared block driver; each basis is
         enumerated once per call."""
         bases = {}
@@ -184,14 +184,13 @@ class CommDGAlgebra:
 
         return homology_by_blocks(
             positions, lambda h, w: self.block_matrix(h, w, basis),
-            self.weight_shift, check)
+            self.weight_shift)
 
-    def homology_table(self, deg_cap, weight_cap, check=True):
+    def homology_table(self, deg_cap, weight_cap):
         """BettiTable of blockwise homology, exact within the caps."""
         positions = [(h, w) for h in range(deg_cap + 1)
                      for w in range(weight_cap + 1)]
-        return BettiTable(deg_cap, weight_cap,
-                          self._homology(positions, check))
+        return BettiTable(deg_cap, weight_cap, self._homology(positions))
 
     def euler_check(self, weight, deg_cap):
         """Per-weight Euler characteristic conservation.

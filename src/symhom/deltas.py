@@ -339,17 +339,15 @@ def cyclic_to_sym(c):
 
 # degree-0 coequalizers --------------------------------------------------
 
-def abelianization_quotient(A, max_word_len=3):
-    """A modulo the span of w - w^sigma over short products of basis
-    elements: the degree-0 symmetric quotient (A_ab as a vector space).
+def abelianization_quotient(A):
+    """A modulo the span of w - w^sigma over products of at most three
+    basis elements: the degree-0 symmetric quotient (A_ab as a vector
+    space).
     """
     labels = list(range(A.dim))
     relations = []
-    words = [[(i,) for i in range(A.dim)]]
-    for _ in range(max_word_len - 1):
-        words.append([w + (i,) for w in words[-1] for i in range(A.dim)])
-    for length_words in words[1:]:
-        for w in length_words:
+    for length in (2, 3):
+        for w in _all_words(A.dim, length):
             base = A.multiply_word(w)
             for i in range(len(w) - 1):
                 sw = list(w)
@@ -394,12 +392,8 @@ def _coequalizer_generators(arity_cap, cyclic):
 
 def _coequalizer_space(A, arity_cap, cyclic):
     ncap = arity_cap - 1
-    labels = []
-    for n in range(ncap + 1):
-        words = [()]
-        for _ in range(n + 1):
-            words = [w + (i,) for w in words for i in range(A.dim)]
-        labels.extend((n, w) for w in words)
+    labels = [(n, w) for n in range(ncap + 1)
+              for w in _all_words(A.dim, n + 1)]
     relations = []
     for n, f in _coequalizer_generators(arity_cap, cyclic):
         m = f.target_n
@@ -414,6 +408,8 @@ def _coequalizer_space(A, arity_cap, cyclic):
 
 
 def _all_words(dim, length):
+    """Every word of the given length over range(dim), in lexicographic
+    order."""
     words = [()]
     for _ in range(length):
         words = [w + (i,) for w in words for i in range(dim)]

@@ -22,7 +22,7 @@ class FinDimAlgebra:
     """Unital associative algebra with explicit structure constants."""
 
     def __init__(self, basis, unit, mult, weights=None, augmentation=None,
-                 truncation=None, validate=True):
+                 truncation=None):
         self.basis = list(basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
@@ -45,8 +45,7 @@ class FinDimAlgebra:
         self.truncation = truncation
         if truncation is not None and self.weights is None:
             raise ValueError("truncation requires a weight grading")
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def dim(self):

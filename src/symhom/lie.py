@@ -32,8 +32,7 @@ class DGLie:
     order, the missing one is filled in by graded antisymmetry.
     """
 
-    def __init__(self, names, hdegs, bracket=None, differential=None,
-                 validate=True):
+    def __init__(self, names, hdegs, bracket=None, differential=None):
         self.names = list(names)
         self.hdegs = list(hdegs)
         if len(self.names) != len(self.hdegs):
@@ -48,8 +47,7 @@ class DGLie:
             vec = {k: QQ(c) for k, c in vec.items() if QQ(c)}
             if vec:
                 self.differential[i] = vec
-        if validate:
-            self.validate()
+        self.validate()
 
     def _set_bracket(self, i, j, vec):
         sgn = -QQ(1) if (self.hdegs[i] * self.hdegs[j]) % 2 == 0 else QQ(1)

@@ -279,18 +279,17 @@ class QuotientSpace:
         return {self.labels[i]: c for i, c in v.items()}
 
 
-def homology_dim(d_out, d_in, check=True):
+def homology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for a block C_in -> C_mid -> C_out.
 
     d_out: C_mid -> C_out, d_in: C_in -> C_mid.  Raises
     CompositionNonZeroError when d_out . d_in != 0.
     """
     blocks = (d_out, d_in)
-    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0,
-                              check)[(0, 0)]
+    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0)[(0, 0)]
 
 
-def homology_by_blocks(positions, block, shift, check=True):
+def homology_by_blocks(positions, block, shift):
     """{(h, w): dim H_{h,w}} of a bigraded complex at the given positions.
 
     block(h, w) is the matrix of d from C_{h,w} to C_{h-1,w+shift}, so the
@@ -298,8 +297,7 @@ def homology_by_blocks(positions, block, shift, check=True):
     one call each block is built once and ranked once; a block is dropped
     as soon as no remaining position needs it.  Raises ValueError when two
     blocks do not compose, and CompositionNonZeroError when d . d != 0 at
-    a position (checked unless check is false) or a dimension comes out
-    negative.
+    a position or a dimension comes out negative.
     """
     pairs = [((h, w), (h + 1, w - shift)) for h, w in positions]
     uses = {}
@@ -318,7 +316,7 @@ def homology_by_blocks(positions, block, shift, check=True):
         if d_out.cols != d_in.rows:
             raise ValueError("middle dimensions disagree: %d vs %d"
                              % (d_out.cols, d_in.rows))
-        if check and not d_out.matmul(d_in).is_zero():
+        if not d_out.matmul(d_in).is_zero():
             raise CompositionNonZeroError(
                 "d_out . d_in != 0 at (%d, %d): not a complex" % (h, w))
         dim = d_out.cols - ranks[pair[0]] - ranks[pair[1]]

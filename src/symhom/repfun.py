@@ -102,10 +102,8 @@ def _necklace(R, word):
 class CyclicQuotientComplex:
     """Blockwise bases of R/[R,R] by necklaces, with the induced d."""
 
-    def __init__(self, R, deg_cap, weight_cap):
+    def __init__(self, R):
         self.R = R
-        self.deg_cap = deg_cap
-        self.weight_cap = weight_cap
         self._bases = {}
 
     def _words(self, h, w):
@@ -153,8 +151,8 @@ class CyclicQuotientComplex:
             lambda word: self.project(self.R.d(NCPoly({word: 1}))))
 
 
-def cyclic_quotient(R, deg_cap, weight_cap):
-    return CyclicQuotientComplex(R, deg_cap, weight_cap)
+def cyclic_quotient(R):
+    return CyclicQuotientComplex(R)
 
 
 def trace_chain_map(R, n, deg_cap, weight_cap):
@@ -164,7 +162,7 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
     matrices of its letters.  Returns (cyclic complex, rep algebra,
     dict (h, w) -> SparseMatrix on the block bases).
     """
-    cyc = CyclicQuotientComplex(R, deg_cap, weight_cap)
+    cyc = CyclicQuotientComplex(R)
     S = rep_n(R, n)
 
     def trace(word):
@@ -181,6 +179,6 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
     return cyc, S, blocks
 
 
-def hr_n(R, n, deg_cap, weight_cap, check=True):
+def hr_n(R, n, deg_cap, weight_cap):
     """Betti table of rep_n(R): representation homology with k^n."""
-    return rep_n(R, n).homology_table(deg_cap, weight_cap, check=check)
+    return rep_n(R, n).homology_table(deg_cap, weight_cap)

@@ -9,7 +9,9 @@ import pytest
 from symhom import __version__, cli
 from symhom.bar import CapOverflowError
 from symhom.betti import BettiTable
-from symhom.freealg import dual_numbers_resolution
+from symhom.findim import FinDimAlgebra
+from symhom.freealg import FreeDGAlgebra, dual_numbers_resolution
+from symhom.lie import DGLie
 
 
 def run(capsys, *argv):
@@ -253,12 +255,65 @@ def test_entry_cached_under_the_old_key_is_not_served(tmp_path, capsys):
     ["ce", "sl2", "--deg-cap", "-3"],
     ["hs", "poly:-1", "--deg-cap", "1", "--weight-cap", "2"],
     ["hs", "free:0", "--pipeline", "bar"],
-    ["hs", "poly", "--dim", "0"],
+    ["hs", "no-such-input"],
 ])
 def test_out_of_range_value_exits_2_with_one_error_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
+    assert len([line for line in out.err.splitlines()
+                if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, kinds in cli.BUILTINS.items() for kind in kinds])
+def test_every_builtin_kind_loads(name, kind):
+    types = {"resolution": FreeDGAlgebra, "algebra": FinDimAlgebra,
+             "lie": DGLie}
+    for spelling in (name, name + ":2"):
+        got, value = cli.load(spelling, kind, deg_cap=2, weight_cap=3)
+        assert got == kind and isinstance(value, types[kind])
+
+
+def test_load_of_a_missing_file_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="cannot be read"):
+        cli.load(str(tmp_path / "gone.json"))
+
+
+def test_default_pipelines():
+    default = {name: cli.KINDS[next(iter(kinds))][0]
+               for name, kinds in cli.BUILTINS.items()}
+    assert default == {
+        "dual-numbers": "dg", "free": "bar", "m2": "bar", "ut2": "bar",
+        "poly": "cobar", "abelian": "cobar", "sl2": "cobar",
+        "heisenberg": "cobar", "nab2": "cobar"}
+
+
+def test_json_path_with_a_colon_is_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for name in ("res.json", "res:1.json"):
+        (tmp_path / name).write_text(dual_numbers_resolution(3).to_json())
+        code, out, _ = run(capsys, "hs", name, "--deg-cap", "2",
+                           "--weight-cap", "4", "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hs", "no-such-input"],
+    ["hs", "sl2", "--pipeline", "bar"],
+    ["hs", "m2", "--pipeline", "dg"],
+    ["compare", "hr dual-numbers", "hs sl2"],
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown input itself
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
     assert len([line for line in out.err.splitlines()
                 if "error:" in line]) == 1
