@@ -22,8 +22,7 @@ from .betti import BettiTable
 from .linalg import SparseMatrix, add_term, homology_by_blocks
 from .rationals import ONE, QQ
 
-__all__ = ["BarLevel", "CapOverflowError", "bar_level_basis", "face_map",
-           "hr_via_bar"]
+__all__ = ["CapOverflowError", "bar_level_basis", "face_map", "hr_via_bar"]
 
 DEFAULT_BUDGET = 500_000
 
@@ -38,20 +37,6 @@ def _sort_collapse(d):
     for k, v in d.items():
         add_term(out, tuple(sorted(k)), v)
     return out
-
-
-class BarLevel:
-    """Normalized abelianized bar level: simplicial degree and basis."""
-
-    def __init__(self, n, basis):
-        self.n = n
-        self.basis = list(basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __repr__(self):
-        return "BarLevel(n=%d, %d monomials)" % (self.n, len(self.basis))
 
 
 def _leaf_weights(A):
@@ -160,7 +145,8 @@ def _weight_monomials(A, ideal, n, weight, cache):
 
 
 def bar_level_basis(A, n, weight_cap, budget=DEFAULT_BUDGET):
-    """Basis of the normalized abelianized bar level n up to weight_cap."""
+    """Basis of the normalized abelianized bar level n up to weight_cap: the
+    list of its monomials, by weight."""
     u, ideal = _leaf_weights(A)
     cache = {}
     basis = []
@@ -170,7 +156,7 @@ def bar_level_basis(A, n, weight_cap, budget=DEFAULT_BUDGET):
             raise CapOverflowError(
                 "bar level %d exceeds budget %d below weight %d"
                 % (n, budget, w + 1))
-    return BarLevel(n, basis)
+    return basis
 
 
 def _flatten(tree, i):

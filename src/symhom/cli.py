@@ -169,6 +169,20 @@ def _digest(job):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _input_job(name):
+    """The cache job entries of an input: a built-in is keyed by its name,
+    a JSON file by its path and the SHA-256 of its bytes, so that a
+    rewritten file is not served the table of its old contents."""
+    if _builtin(name) is not None:
+        return {"input": name}
+    try:
+        with open(name, "rb") as fh:
+            return {"input": name,
+                    "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    except OSError as exc:
+        raise ValueError("input %s cannot be read: %s" % (name, exc)) from None
+
+
 def _cached_table(args, job, compute):
     """The BettiTable compute() returns, served from and written to the
     cache dir (--cache-dir or SYMHOM_CACHE_DIR) when one is set."""
@@ -221,7 +235,7 @@ def _emit_scalar(value, fmt):
 # pipelines --------------------------------------------------------------
 
 def _hs_table(args):
-    job = {"cmd": "hs", "input": args.input, "pipeline": args.pipeline,
+    job = {"cmd": "hs", **_input_job(args.input), "pipeline": args.pipeline,
            "deg_cap": args.deg_cap, "weight_cap": args.weight_cap,
            "n": args.n}
 
@@ -240,7 +254,7 @@ def cmd_hs(args):
 
 
 def cmd_hr(args):
-    job = {"cmd": "hr", "input": args.input, "deg_cap": args.deg_cap,
+    job = {"cmd": "hr", **_input_job(args.input), "deg_cap": args.deg_cap,
            "weight_cap": args.weight_cap, "n": args.n}
 
     def compute():
@@ -335,13 +349,15 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, caps=True):
-        if caps:
-            sp.add_argument("--deg-cap", type=_at_least(0), default=4)
-            sp.add_argument("--weight-cap", type=_at_least(0), default=6)
+    def common(sp, cached=True):
+        """--format, and for the cached table commands (hs, hr) the caps
+        and --cache-dir."""
         sp.add_argument("--format", choices=["human", "json", "csv"],
                         default="human")
-        sp.add_argument("--cache-dir", default=None)
+        if cached:
+            sp.add_argument("--deg-cap", type=_at_least(0), default=4)
+            sp.add_argument("--weight-cap", type=_at_least(0), default=6)
+            sp.add_argument("--cache-dir", default=None)
 
     sp = sub.add_parser("hs", help="symmetric homology Betti table")
     sp.add_argument("input", type=_input_name)
@@ -362,13 +378,13 @@ def build_parser():
         sp.add_argument("input", type=_input_name)
         sp.add_argument("--arity-cap", type=int, default=3)
         sp.add_argument("--weight-cap", type=_at_least(0), default=4)
-        common(sp, caps=False)
+        common(sp, cached=False)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("ce", help="Chevalley-Eilenberg homology dims")
     sp.add_argument("input", type=_input_name)
     sp.add_argument("--deg-cap", type=_at_least(0), default=4)
-    common(sp, caps=False)
+    common(sp, cached=False)
     sp.set_defaults(func=cmd_ce)
 
     sp = sub.add_parser("deltaS", help="symmetric-category calculator")
@@ -379,11 +395,9 @@ def build_parser():
     sp = sub.add_parser("compare", help="entrywise diff of two hs runs")
     sp.add_argument("left")
     sp.add_argument("right")
-    common(sp, caps=False)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("selftest", help="quick consistency checks")
-    common(sp, caps=False)
     sp.set_defaults(func=cmd_selftest)
     return p
 

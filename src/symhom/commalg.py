@@ -13,7 +13,6 @@ call through a memo that lives only for that call.
 """
 
 from .betti import BettiTable
-from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
 from .linalg import SparseMatrix, add_term, homology_by_blocks
 from .rationals import ONE, QQ, ZERO
 
@@ -223,7 +222,7 @@ def abelianize(R):
     diff = {}
     for name, poly in R.differential.items():
         out = {}
-        for word, c in poly.terms.items():
+        for word, c in poly.items():
             sign, mono = sort_word([index[n] for n in word], parities)
             if sign:
                 add_term(out, mono, c * sign)

@@ -4,7 +4,9 @@ factorization, the symmetric bar action, and degree-0 coequalizers.
 A morphism [n] -> [m] is stored in tensor-of-monomials normal form: m+1
 sequences over the variables {0..n}, each variable occurring exactly
 once.  Composition is substitution; the unique (permutation, monotone)
-factorization is computed on demand.
+factorization is computed on demand.  An element of the symmetric bar
+construction is a plain dict, word of basis indices -> scalar, like every
+vector in the package.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ __all__ = [
     "DeltaSMorphism", "ArityMismatchError", "identity", "compose",
     "factorize", "transposition", "rotation", "face_embedding",
     "multiply_map", "parse_morphism", "format_morphism",
-    "SymBarElement", "b_sym_action", "FreeGroupHom", "psi_sym",
+    "b_sym_action", "FreeGroupHom", "psi_sym",
     "CyclicMorphism", "cyclic_rotation", "hochschild_face",
     "cyclic_degeneracy", "cyclic_to_sym",
     "abelianization_quotient", "hs0_coequalizer", "hc0_coequalizer",
@@ -189,57 +191,21 @@ def parse_morphism(text):
 
 # the symmetric bar construction ----------------------------------------
 
-class SymBarElement:
-    """Element of A^{(n+1)}: dict word-of-basis-indices -> scalar."""
-
-    def __init__(self, arity, tensor=None):
-        self.arity = arity
-        self.tensor = {}
-        for word, c in (tensor or {}).items():
-            word = tuple(word)
-            if len(word) != arity:
-                raise ValueError("tensor word of wrong arity")
-            c = QQ(c)
-            if c:
-                self.tensor[word] = c
-
-    @classmethod
-    def pure(cls, word):
-        return cls(len(word), {tuple(word): QQ(1)})
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ArityMismatchError("cannot add different arities")
-        out = dict(self.tensor)
-        for w, c in other.tensor.items():
-            add_term(out, w, c)
-        return SymBarElement(self.arity, out)
-
-    def scale(self, c):
-        return SymBarElement(
-            self.arity, {w: cc * QQ(c) for w, cc in self.tensor.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, SymBarElement)
-                and self.arity == other.arity
-                and self.tensor == other.tensor)
-
-    def __repr__(self):
-        return "SymBarElement(%d, %r)" % (self.arity, self.tensor)
-
-
 def b_sym_action(A, f, v):
-    """Apply a Delta-S morphism to a symmetric bar element over A.
+    """Apply a Delta-S morphism to an element v of A^{(n+1)} in the
+    symmetric bar construction over A: a dict word of basis indices ->
+    scalar, every word of length f.source_arity.  Returns the image, a
+    dict of words of length f.target_arity.
 
     Each output slot is the ordered product in A of the inputs named by
     the corresponding monomial; an empty monomial contributes the unit.
     """
-    if v.arity != f.source_arity:
-        raise ArityMismatchError(
-            "element arity %d, morphism expects %d"
-            % (v.arity, f.source_arity))
     out = {}
-    for word, c in v.tensor.items():
+    for word, c in v.items():
+        if len(word) != f.source_arity:
+            raise ArityMismatchError(
+                "element word of arity %d, morphism expects %d"
+                % (len(word), f.source_arity))
         # per-slot products, each a sparse vector in A
         slots = [A.multiply_word([word[var] for var in m])
                  for m in f.monomials]
@@ -250,7 +216,7 @@ def b_sym_action(A, f, v):
                        for w, cc in partial for i, a in slot.items()]
         for w, cc in partial:
             add_term(out, w, cc)
-    return SymBarElement(f.target_arity, out)
+    return out
 
 
 # the functor to free groups --------------------------------------------
@@ -398,9 +364,8 @@ def _coequalizer_space(A, arity_cap, cyclic):
     for n, f in _coequalizer_generators(arity_cap, cyclic):
         m = f.target_n
         for w in _all_words(A.dim, n + 1):
-            image = b_sym_action(A, f, SymBarElement.pure(w))
             rel = {(n, w): QQ(1)}
-            for iw, c in image.tensor.items():
+            for iw, c in b_sym_action(A, f, {w: QQ(1)}).items():
                 add_term(rel, (m, iw), -c)
             if rel:
                 relations.append(rel)

@@ -3,15 +3,17 @@
 A FreeDGAlgebra is presented by weight-graded generators and the value of
 the differential on each generator; the differential extends as a degree
 -1 derivation with the Koszul sign d(ab) = d(a)b + (-1)^{|a|} a d(b).
+An element of the algebra is a plain dict word -> scalar, a word being a
+tuple of generator names, as every vector in the package is a plain dict.
 """
 
 import json
 from dataclasses import dataclass
 
 from .linalg import add_term
-from .rationals import QQ, ZERO, qq, qq_str
+from .rationals import QQ, qq, qq_str
 
-__all__ = ["GeneratorSpec", "NCPoly", "FreeDGAlgebra",
+__all__ = ["GeneratorSpec", "FreeDGAlgebra",
            "dual_numbers_resolution", "free_resolution_of_tensor_algebra"]
 
 
@@ -29,63 +31,12 @@ class GeneratorSpec:
             raise ValueError("weight must be positive: %s" % self.name)
 
 
-class NCPoly:
-    """A noncommutative polynomial: dict word-of-generator-names -> scalar."""
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                c = QQ(c)
-                if c:
-                    self.terms[tuple(word)] = c
-
-    @classmethod
-    def gen(cls, name, coeff=1):
-        return cls({(name,): QQ(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return NCPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(QQ(-1))
-
-    def scale(self, c):
-        c = QQ(c)
-        if not c:
-            return NCPoly()
-        return NCPoly({w: cc * c for w, cc in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_term(out, w1 + w2, c1 * c2)
-        return NCPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            word = "*".join(w) if w else "1"
-            bits.append("%s %s" % (qq_str(c), word))
-        return " + ".join(bits)
-
-
 class FreeDGAlgebra:
     """Semi-free associative DG algebra on weight-graded generators."""
 
     def __init__(self, generators, differential=None):
+        """differential maps a generator name to its image, a dict word ->
+        scalar; the scalars are made rationals and zeros dropped here."""
         self.generators = list(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
@@ -95,14 +46,17 @@ class FreeDGAlgebra:
         for name, poly in (differential or {}).items():
             if name not in self.gen_by_name:
                 raise ValueError("differential on unknown generator %r" % name)
-            if not poly.is_zero():
-                self.differential[name] = poly
+            terms = {}
+            for word, c in poly.items():
+                add_term(terms, tuple(word), QQ(c))
+            if terms:
+                self.differential[name] = terms
         self._validate_grading()
 
     def _validate_grading(self):
         for name, poly in self.differential.items():
             g = self.gen_by_name[name]
-            for word in poly.terms:
+            for word in poly:
                 if self.word_hdeg(word) != g.hdeg - 1:
                     raise ValueError(
                         "d(%s) has a term of wrong degree: %s" % (name, word))
@@ -117,19 +71,16 @@ class FreeDGAlgebra:
         return sum(self.gen_by_name[n].weight for n in word)
 
     def d_gen(self, name):
-        return self.differential.get(name, NCPoly())
+        return self.differential.get(name, {})
 
     def d(self, poly):
         """Derivation differential: d(ab) = d(a)b + (-1)^{|a|} a d(b)."""
-        out = NCPoly()
-        for word, c in poly.terms.items():
-            sign = QQ(1)
+        out = {}
+        for word, c in poly.items():
+            sign = QQ(c)
             for i, name in enumerate(word):
-                dg = self.differential.get(name)
-                if dg is not None:
-                    pre = NCPoly({word[:i]: sign * c})
-                    post = NCPoly({word[i + 1:]: QQ(1)})
-                    out = out + pre * dg * post
+                for m, cg in self.differential.get(name, {}).items():
+                    add_term(out, word[:i] + m + word[i + 1:], sign * cg)
                 if self.gen_by_name[name].hdeg % 2:
                     sign = -sign
         return out
@@ -138,7 +89,7 @@ class FreeDGAlgebra:
         """True iff d(d(g)) = 0 for all generators within the caps."""
         for g in self.generators:
             if g.hdeg <= deg_cap and g.weight <= weight_cap:
-                if not self.d(self.d_gen(g.name)).is_zero():
+                if self.d(self.d_gen(g.name)):
                     return False
         return True
 
@@ -151,7 +102,7 @@ class FreeDGAlgebra:
                 for g in self.generators],
             "differential": [
                 [name, sorted([list(w), qq_str(c)]
-                              for w, c in poly.terms.items())]
+                              for w, c in poly.items())]
                 for name, poly in sorted(self.differential.items())],
         }, indent=2)
 
@@ -162,7 +113,7 @@ class FreeDGAlgebra:
                 for g in data["generators"]]
         diff = {}
         for name, terms in data.get("differential", []):
-            diff[name] = NCPoly({tuple(w): qq(c) for w, c in terms})
+            diff[name] = {tuple(w): qq(c) for w, c in terms}
         return cls(gens, diff)
 
 
@@ -181,13 +132,9 @@ def dual_numbers_resolution(i_max):
     def tname(j):
         return "x" if j == 0 else "t%d" % j
 
-    diff = {}
-    for i in range(1, i_max + 1):
-        terms = {}
-        for j in range(i):
-            word = (tname(j), tname(i - 1 - j))
-            terms[word] = terms.get(word, ZERO) + QQ(-1) ** j
-        diff["t%d" % i] = NCPoly(terms)
+    diff = {"t%d" % i: {(tname(j), tname(i - 1 - j)): (-1) ** j
+                        for j in range(i)}
+            for i in range(1, i_max + 1)}
     return FreeDGAlgebra(gens, diff)
 
 

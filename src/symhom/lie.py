@@ -13,7 +13,7 @@ exterior length (the differential drops it by exactly 1).
 
 from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
-from .freealg import FreeDGAlgebra, GeneratorSpec, NCPoly
+from .freealg import FreeDGAlgebra, GeneratorSpec
 from .linalg import SparseMatrix, add_term, homology_by_blocks
 from .rationals import QQ, qq
 
@@ -59,8 +59,6 @@ class DGLie:
             self.bracket[(i, j)] = vec
             if i != j:
                 self.bracket[(j, i)] = flipped
-        elif (i, j) == (i, i) and (self.hdegs[i] % 2 == 0):
-            pass  # [x, x] = 0 forced for even x; nothing to store
 
     def bkt(self, i, j):
         return self.bracket.get((i, j), {})
@@ -311,13 +309,12 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
             if len(w) <= weight_cap:
                 gens.append(GeneratorSpec(_word_name(C, w), h - 1, len(w)))
                 gen_words.append(w)
-    keep = {w for w in gen_words}
     diff = {}
     for w in gen_words:
         name = _word_name(C, w)
         terms = {}
         for w2, c in C.diff(w).items():
-            if w2 in keep or len(w2) <= weight_cap:
+            if len(w2) <= weight_cap:
                 add_term(terms, (_word_name(C, w2),), -c)
         for (w1, w2), c in C.reduced_coproduct(w).items():
             s1, m1 = sort_word(w1, C.parities)
@@ -330,9 +327,7 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
             if not flip_coproduct_sign and C.word_hdeg(m1) % 2:
                 sgn = -sgn
             add_term(terms, (_word_name(C, m1), _word_name(C, m2)), -sgn)
-        poly = NCPoly(terms)
-        if not poly.is_zero():
-            diff[name] = poly
+        diff[name] = terms
     return FreeDGAlgebra(gens, diff)
 
 
@@ -354,12 +349,10 @@ def hs_env_closed_form(a, deg_cap, weight_cap):
     down by one; expanded into a Betti table through the caps."""
     classes = _ce_homology_bigraded(a, deg_cap + 1)
     gens = []
-    count = 0
     for (h, ell), dim in sorted(classes.items()):
         if h == 0:
             continue  # the unreduced H_0 = k contributes the algebra unit
         for r in range(dim):
-            count += 1
             gens.append(GeneratorSpec("u%d_%d_%d" % (h, ell, r),
                                       h - 1, ell))
     S = CommDGAlgebra(gens)

@@ -1,10 +1,12 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dictionaries key -> nonzero scalar; add_term is the one "add,
-drop if zero" step on them.  Matrices are dictionaries (row, col) ->
-nonzero rational, and SparseMatrix.from_images is the one block builder:
-every block of every complex in the package is the matrix of the images
-of a source basis, written on a target basis.
+Vectors are plain dictionaries key -> nonzero scalar, the only vector type
+in the package (polynomials, bar and symmetric bar elements, Lie algebra
+elements); add_term is the one "add, drop if zero" step on them.
+Matrices are dictionaries (row, col) -> nonzero rational, and
+SparseMatrix.from_images is the one block builder: every block of every
+complex in the package is the matrix of the images of a source basis,
+written on a target basis.
 
 eliminate is the one elimination of the package: rational Gaussian
 elimination on sparse rows with a Markowitz-style pivot choice (sparsest

@@ -1,14 +1,10 @@
 """Exact rational scalars.
 
 Every public number in this package is a rational in lowest terms with a
-positive denominator.  gmpy2.mpq is used when available (it is much faster
-on large eliminations); fractions.Fraction is the drop-in fallback.
+positive denominator, a fractions.Fraction; QQ names the scalar type.
 """
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -9,9 +9,8 @@ words up to rotation with the Koszul rotation sign, a class vanishing
 when some rotation fixes the word with sign -1.
 """
 
-from .betti import BettiTable
 from .commalg import CommDGAlgebra
-from .freealg import GeneratorSpec, NCPoly
+from .freealg import GeneratorSpec
 from .linalg import SparseMatrix, add_term
 from .rationals import ONE
 
@@ -61,7 +60,7 @@ def rep_n(R, n):
         if dg is None:
             continue
         entry_polys = {(a, b): {} for a in range(n) for b in range(n)}
-        for word, coeff in dg.terms.items():
+        for word, coeff in dg.items():
             for ab, poly in _matrix_of_word(S, n, word).items():
                 for m, c in poly.items():
                     add_term(entry_polys[ab], m, c * coeff)
@@ -136,9 +135,10 @@ class CyclicQuotientComplex:
         return self._bases[key]
 
     def project(self, poly):
-        """Class of an NCPoly in the quotient: dict necklace -> coeff."""
+        """Class of a polynomial of R (dict word -> coeff) in the quotient:
+        dict necklace -> coeff."""
         out = {}
-        for word, c in poly.terms.items():
+        for word, c in poly.items():
             sign, can = _necklace(self.R, word)
             if sign:
                 add_term(out, can, c * sign)
@@ -148,7 +148,7 @@ class CyclicQuotientComplex:
         """Induced differential from block (h, w) to (h-1, w)."""
         return SparseMatrix.from_images(
             self.basis(h, w), self.basis(h - 1, w),
-            lambda word: self.project(self.R.d(NCPoly({word: 1}))))
+            lambda word: self.project(self.R.d({word: 1})))
 
 
 def cyclic_quotient(R):

@@ -21,7 +21,7 @@ def test_level_zero_basis_is_symmetric_algebra_on_ideal():
     lvl = bar_level_basis(A, 0, 3)
     # monomials in the single ideal element x: 1, x, x^2, x^3
     assert len(lvl) == 4
-    assert lvl.basis[0] == ()
+    assert lvl[0] == ()
 
 
 def test_level_one_degenerate_monomials_dropped():
@@ -29,18 +29,18 @@ def test_level_one_degenerate_monomials_dropped():
     lvl = bar_level_basis(A, 1, 3)
     x = A.augmented_split()[1][0]
     # every factor a singleton bracket => degenerate, so ((x,),) is out
-    assert ((x,),) not in lvl.basis
+    assert ((x,),) not in lvl
     # a length-2 bracket is not degenerate
-    assert ((x, x),) in lvl.basis
+    assert ((x, x),) in lvl
     # mixed monomials are degenerate only when all factors are singletons
-    assert ((x,), (x, x)) in lvl.basis
+    assert ((x,), (x, x)) in lvl
 
 
 def test_empty_monomial_degenerate_in_positive_levels():
     A = dual_numbers_algebra()
-    assert () in bar_level_basis(A, 0, 2).basis
-    assert () not in bar_level_basis(A, 1, 2).basis
-    assert () not in bar_level_basis(A, 2, 2).basis
+    assert () in bar_level_basis(A, 0, 2)
+    assert () not in bar_level_basis(A, 1, 2)
+    assert () not in bar_level_basis(A, 2, 2)
 
 
 def test_budget_overflow_raises():
@@ -61,7 +61,7 @@ def test_simplicial_identities():
     rng = random.Random(71)
     for A in (dual_numbers_algebra(), free_tensor_algebra(2, 4)):
         for n in (2, 3):
-            basis = bar_level_basis(A, n, 4).basis
+            basis = bar_level_basis(A, n, 4)
             if not basis:
                 continue
             for _ in range(20):
@@ -147,7 +147,7 @@ def _brute_force_level(A, n, weight_cap):
 ], ids=["dual-numbers", "free:2"])
 def test_level_basis_matches_brute_force(A, levels, weight_cap):
     for n in range(levels):
-        assert bar_level_basis(A, n, weight_cap).basis == \
+        assert bar_level_basis(A, n, weight_cap) == \
             _brute_force_level(A, n, weight_cap), n
 
 

@@ -9,7 +9,8 @@ import pytest
 from symhom import __version__, cli
 from symhom.bar import CapOverflowError
 from symhom.betti import BettiTable
-from symhom.findim import FinDimAlgebra
+from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
+                           truncated_poly_algebra)
 from symhom.freealg import FreeDGAlgebra, dual_numbers_resolution
 from symhom.lie import DGLie
 
@@ -198,6 +199,48 @@ def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
     assert code1 == code2 == 0 and out2 == out1
     assert json.loads(entry.read_text())["job"] == json.loads(good)["job"]
     assert os.listdir(tmp_path) == [entry.name]  # no temp file left
+
+
+def test_rewritten_json_input_is_not_served_its_old_entry(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    args = ("hs", str(path), "--pipeline", "bar", "--deg-cap", "1",
+            "--weight-cap", "3", "--format", "csv",
+            "--cache-dir", str(tmp_path / "cache"))
+    rows = []
+    for algebra in (dual_numbers_algebra(), truncated_poly_algebra(3)):
+        path.write_text(algebra.to_json())
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        rows.append(out.splitlines()[1])
+    assert rows == ["0,1,1,0,0", "0,1,1,1,1"]
+    # the entry of a file carries the digest of the bytes it was read from
+    jobs = [json.loads(entry.read_text())["job"]
+            for entry in (tmp_path / "cache").iterdir()]
+    assert sorted(job["sha256"] for job in jobs) == sorted(
+        hashlib.sha256(a.to_json().encode()).hexdigest()
+        for a in (dual_numbers_algebra(), truncated_poly_algebra(3)))
+
+
+def test_builtin_cache_job_names_only_the_input(tmp_path, capsys):
+    run(capsys, "hr", "free:1", "--deg-cap", "1", "--weight-cap", "2",
+        "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_text())["job"] == {
+        "cmd": "hr", "input": "free:1", "deg_cap": 1, "weight_cap": 2,
+        "n": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hs0", "m2", "--cache-dir", "D"],
+    ["ce", "sl2", "--cache-dir", "D"],
+    ["compare", "--format", "json", "hs sl2", "hs sl2"],
+    ["selftest", "--cache-dir", "D"],
+])
+def test_option_a_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pipeline, text", [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symhom.commalg import CommDGAlgebra, abelianize, sort_word
-from symhom.freealg import GeneratorSpec, NCPoly, dual_numbers_resolution
+from symhom.freealg import GeneratorSpec, dual_numbers_resolution
 from symhom.rationals import QQ
 
 

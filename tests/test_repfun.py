@@ -3,7 +3,7 @@
 import pytest
 
 from symhom.commalg import abelianize
-from symhom.freealg import (NCPoly, dual_numbers_resolution,
+from symhom.freealg import (dual_numbers_resolution,
                             free_resolution_of_tensor_algebra)
 from symhom.repfun import (CyclicQuotientComplex, cyclic_quotient, hr_n,
                            rep_n, trace_chain_map, _necklace)
