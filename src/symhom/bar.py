@@ -19,8 +19,7 @@ each (level, weight) block is built once per hr_via_bar call.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, add_term, homology_by_blocks
-from .rationals import ONE, QQ
+from .linalg import SparseMatrix, add_term, exact, homology_by_blocks
 
 __all__ = ["CapOverflowError", "bar_level_basis", "face_map", "hr_via_bar"]
 
@@ -28,7 +27,8 @@ DEFAULT_BUDGET = 500_000
 
 
 class CapOverflowError(Exception):
-    """A bar level exceeded the configured size budget."""
+    """A bar basis exceeded the configured size budget; the message names
+    the (level, weight) block whose basis crossed it."""
 
 
 def _sort_collapse(d):
@@ -52,7 +52,10 @@ def _leaf_weights(A):
 
 
 def _trees(A, ideal, depth, weight, cache):
-    """All depth-`depth` trees of exactly the given weight, sorted."""
+    """All depth-`depth` trees of exactly the given weight, sorted.  A
+    tree of depth >= 1 is a first child of some weight w1 followed by the
+    children of a same-depth tree of the remaining weight (none when w1
+    is the whole weight)."""
     key = (depth, weight)
     if key in cache:
         return cache[key]
@@ -60,19 +63,11 @@ def _trees(A, ideal, depth, weight, cache):
         out = sorted(i for i in ideal if A.weights[i] == weight)
     else:
         out = []
-
-        def rec(remaining, acc):
-            if remaining == 0:
-                if acc:
-                    out.append(tuple(acc))
-                return
-            for w1 in range(1, remaining + 1):
-                for child in _trees(A, ideal, depth - 1, w1, cache):
-                    acc.append(child)
-                    rec(remaining - w1, acc)
-                    acc.pop()
-
-        rec(weight, [])
+        for w1 in range(1, weight + 1):
+            rests = (_trees(A, ideal, depth, weight - w1, cache)
+                     if w1 < weight else [()])
+            for child in _trees(A, ideal, depth - 1, w1, cache):
+                out += [(child,) + rest for rest in rests]
         out.sort()
     cache[key] = out
     return out
@@ -119,26 +114,19 @@ def _weight_monomials(A, ideal, n, weight, cache):
     pool = [(w, t) for w in range(1, weight + 1)
             for t in _trees(A, ideal, n, w, cache)]
     out = []
-
-    def rec(start, remaining, acc):
+    stack = [(0, weight, ())]
+    while stack:
+        start, remaining, acc = stack.pop()
         if remaining == 0:
             mono = tuple(sorted(acc))
             if not _is_degenerate(mono, n, cache):
                 out.append(mono)
-            return
+            continue
         for idx in range(start, len(pool)):
             w, t = pool[idx]
             if w > remaining:
                 break
-            acc.append(t)
-            rec(idx, remaining - w, acc)
-            acc.pop()
-
-    if weight == 0:
-        if not _is_degenerate((), n, cache):
-            out.append(())
-    else:
-        rec(0, weight, [])
+            stack.append((idx, remaining - w, acc + (t,)))
     out.sort()
     cache[key] = out
     return out
@@ -154,8 +142,8 @@ def bar_level_basis(A, n, weight_cap, budget=DEFAULT_BUDGET):
         basis.extend(_weight_monomials(A, ideal, n, w, cache))
         if len(basis) > budget:
             raise CapOverflowError(
-                "bar level %d exceeds budget %d below weight %d"
-                % (n, budget, w + 1))
+                "bar level basis exceeds budget %d at (level, weight) = "
+                "(%d, %d)" % (budget, n, w))
     return basis
 
 
@@ -171,7 +159,7 @@ def _multiply_innermost(A, tree, depth, unit_index):
     if depth == 1:
         return {k: v for k, v in
                 A.ideal_product(list(tree), unit_index).items()}
-    out = {(): QQ(1)}
+    out = {(): 1}
     for child in tree:
         sub = _multiply_innermost(A, child, depth - 1, unit_index)
         nxt = {}
@@ -219,7 +207,7 @@ def _face(A, nlev, i, mono, unit_index, n):
         return _sort_collapse(out)
     if i < nlev:
         return {tuple(sorted((_flatten(t, i), a, b) for t, a, b in mono)): 1}
-    out = {(): ONE}
+    out = {(): 1}
     for t, a, b in mono:
         sub = _multiply_innermost(A, t, nlev, unit_index)
         out = {pre + ((t2, a, b),): c1 * c2
@@ -238,7 +226,7 @@ def face_map(A, n, i, element):
     for mono, c in element.items():
         plain = tuple((t, 0, 0) for t in mono)
         for m2, c2 in _face(A, n, i, plain, u, 1).items():
-            add_term(out, tuple(t for t, _, _ in m2), QQ(c) * c2)
+            add_term(out, tuple(t for t, _, _ in m2), exact(c) * c2)
     return out
 
 
@@ -271,8 +259,8 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
             total += len(basis(lev, w))
             if total > budget:
                 raise CapOverflowError(
-                    "bar complex exceeds budget %d at level %d"
-                    % (budget, lev))
+                    "bar complex exceeds budget %d at (level, weight) = "
+                    "(%d, %d)" % (budget, lev, w))
 
     def block(lev, w):
         if lev == 0:

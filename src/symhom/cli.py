@@ -88,27 +88,33 @@ def _builtin(name):
     return BUILTINS[head], size
 
 
+def _default_kind(name):
+    """The kind an input is read as when no pipeline names one: a
+    built-in's first kind, or the kind a JSON file's keys mark."""
+    builtin = _builtin(name)
+    if builtin is not None:
+        return next(iter(builtin[0]))
+    data = _parse_input(name, json.loads, "JSON")
+    if not isinstance(data, dict):
+        raise ValueError("JSON input %s is not an object" % name)
+    return next(k for k, (_, _, key) in KINDS.items()
+                if key is None or key in data)
+
+
 def load(name, kind=None, deg_cap=None, weight_cap=None):
     """(kind, input) for a built-in name or a JSON path.
 
-    kind None means the built-in's first kind, or the kind a JSON file's
-    keys mark.  Raises ValueError when a built-in has no such kind or the
-    file does not parse as one.
+    kind None means _default_kind(name).  Raises ValueError when a
+    built-in has no such kind or the file does not parse as one.
     """
+    kind = kind or _default_kind(name)
     builtin = _builtin(name)
     if builtin is not None:
         factories, size = builtin
-        kind = kind or next(iter(factories))
         if kind not in factories:
             raise ValueError("built-in %s has no %s form (it has: %s)"
                              % (name, kind, ", ".join(factories)))
         return kind, factories[kind](size, deg_cap, weight_cap)
-    if kind is None:
-        data = _parse_input(name, json.loads, "JSON")
-        if not isinstance(data, dict):
-            raise ValueError("JSON input %s is not an object" % name)
-        kind = next(k for k, (_, _, key) in KINDS.items()
-                    if key is None or key in data)
     return kind, _parse_input(name, KINDS[kind][1], kind)
 
 
@@ -235,14 +241,18 @@ def _emit_scalar(value, fmt):
 # pipelines --------------------------------------------------------------
 
 def _hs_table(args):
-    job = {"cmd": "hs", **_input_job(args.input), "pipeline": args.pipeline,
+    """The hs table, cached under the pipeline that runs: an input's
+    default pipeline and the same pipeline named by --pipeline share one
+    entry."""
+    input_job = _input_job(args.input)
+    pipeline = args.pipeline or KINDS[_default_kind(args.input)][0]
+    job = {"cmd": "hs", **input_job, "pipeline": pipeline,
            "deg_cap": args.deg_cap, "weight_cap": args.weight_cap,
            "n": args.n}
 
     def compute():
-        kind = PIPELINES[args.pipeline][0] if args.pipeline else None
-        kind, value = load(args.input, kind, args.deg_cap, args.weight_cap)
-        route = PIPELINES[args.pipeline or KINDS[kind][0]][1]
+        kind, route = PIPELINES[pipeline]
+        _, value = load(args.input, kind, args.deg_cap, args.weight_cap)
         return route(value, args.deg_cap, args.weight_cap, args.n)
 
     return _cached_table(args, job, compute)

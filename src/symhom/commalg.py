@@ -13,8 +13,7 @@ call through a memo that lives only for that call.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, add_term, homology_by_blocks
-from .rationals import ONE, QQ, ZERO
+from .linalg import SparseMatrix, add_term, exact, homology_by_blocks
 
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
 
@@ -95,7 +94,7 @@ class CommDGAlgebra:
                 if not sign:
                     continue
                 c = c1 * c2 * sign
-                s = out.get(m, ZERO) + c
+                s = out.get(m, 0) + c
                 if s:
                     out[m] = s
                 elif m in out:
@@ -110,7 +109,7 @@ class CommDGAlgebra:
         """
         out = {}
         for mono, c in p.items():
-            sign = QQ(c)
+            sign = c
             for r, i in enumerate(mono):
                 dg = self.differential.get(i)
                 if dg is not None:
@@ -120,7 +119,7 @@ class CommDGAlgebra:
                         if not s:
                             continue
                         term = sign * cg
-                        v = out.get(word, ZERO) + (term if s > 0 else -term)
+                        v = out.get(word, 0) + (term if s > 0 else -term)
                         if v:
                             out[word] = v
                         elif word in out:
@@ -140,23 +139,19 @@ class CommDGAlgebra:
 
     def monomial_basis(self, hdeg, weight):
         """Sorted basis of the (hdeg, weight) block."""
+        gens = self.generators
         out = []
-        n = len(self.generators)
-
-        def rec(start, h, w, acc):
+        stack = [(0, hdeg, weight, ())]
+        while stack:
+            start, h, w, acc = stack.pop()
             if h == 0 and w == 0:
-                out.append(tuple(acc))
-                return
-            for i in range(start, n):
-                g = self.generators[i]
-                if g.weight > w or g.hdeg > h:
-                    continue
-                acc.append(i)
-                rec(i + 1 if self.parities[i] else i,
-                    h - g.hdeg, w - g.weight, acc)
-                acc.pop()
-
-        rec(0, hdeg, weight, [])
+                out.append(acc)
+                continue
+            for i in range(start, len(gens)):
+                g = gens[i]
+                if g.weight <= w and g.hdeg <= h:
+                    stack.append((i + 1 if self.parities[i] else i,
+                                  h - g.hdeg, w - g.weight, acc + (i,)))
         out.sort()
         return out
 
@@ -169,7 +164,7 @@ class CommDGAlgebra:
         basis = basis or self.monomial_basis
         return SparseMatrix.from_images(
             basis(hdeg, weight), basis(hdeg - 1, weight + self.weight_shift),
-            lambda mono: self.d({mono: ONE}))
+            lambda mono: self.d({mono: 1}))
 
     def _homology(self, positions):
         """{(h, w): dim} through the shared block driver; each basis is
@@ -214,7 +209,8 @@ def abelianize(R):
     """Universal graded-commutative quotient of a FreeDGAlgebra.
 
     Same generators; each differential image is rewritten into monomial
-    normal form with Koszul signs (odd squares vanish).
+    normal form with Koszul signs (odd squares vanish), integral
+    coefficients held as ints.
     """
     gens = list(R.generators)
     parities = [g.hdeg % 2 for g in gens]
@@ -225,7 +221,7 @@ def abelianize(R):
         for word, c in poly.items():
             sign, mono = sort_word([index[n] for n in word], parities)
             if sign:
-                add_term(out, mono, c * sign)
+                add_term(out, mono, exact(c * sign))
         if out:
             diff[name] = out
     return CommDGAlgebra(gens, diff)

@@ -1,21 +1,34 @@
 """Associative algebras given by structure constants.
 
-Vectors are sparse dicts basis-index -> scalar.  An algebra may carry a
-weight grading (multiplication adds weights); graded algebras of infinite
-total dimension (polynomial and tensor algebras) are represented by a
-basis truncated at a weight bound, with products beyond the bound
-discarded -- sound for any weight-graded computation below the bound.
+Vectors are sparse dicts basis-index -> scalar, and integral structure
+constants are held as ints (linalg.exact), so that the bar faces built
+on them run on int arithmetic.  An algebra may carry a weight grading
+(multiplication adds weights); graded algebras of infinite total
+dimension (polynomial and tensor algebras) are represented by a basis
+truncated at a weight bound, with products beyond the bound discarded
+-- sound for any weight-graded computation below the bound.
 """
 
 import itertools
 import json
 
-from .linalg import add_term
-from .rationals import QQ, ZERO, qq, qq_str
+from .linalg import add_term, exact
+from .rationals import qq, qq_str
 
 __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
            "upper_triangular_algebra", "truncated_poly_algebra",
            "free_tensor_algebra"]
+
+
+def _exact_nonzero(vec):
+    """The vector with exact scalars (integral ones as ints), zeros
+    dropped."""
+    out = {}
+    for k, c in vec.items():
+        c = exact(c)
+        if c:
+            out[k] = c
+    return out
 
 
 class FinDimAlgebra:
@@ -27,10 +40,10 @@ class FinDimAlgebra:
         self.index = {b: i for i, b in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis names")
-        self.unit = {self.index[b]: QQ(c) for b, c in unit.items() if QQ(c)}
+        self.unit = _exact_nonzero({self.index[b]: c for b, c in unit.items()})
         self.mult = {}
         for (i, j), vec in mult.items():
-            vec = {k: QQ(c) for k, c in vec.items() if QQ(c)}
+            vec = _exact_nonzero(vec)
             if vec:
                 self.mult[(i, j)] = vec
         self.weights = None
@@ -40,7 +53,7 @@ class FinDimAlgebra:
                 self.weights[self.index[b]] = w
         self.augmentation = None
         if augmentation is not None:
-            self.augmentation = {self.index[b]: QQ(c)
+            self.augmentation = {self.index[b]: exact(c)
                                  for b, c in augmentation.items()}
         self.truncation = truncation
         if truncation is not None and self.weights is None:
@@ -66,7 +79,7 @@ class FinDimAlgebra:
         """Ordered product of basis elements; empty word gives the unit."""
         out = dict(self.unit)
         for i in indices:
-            out = self.multiply(out, {i: QQ(1)})
+            out = self.multiply(out, {i: 1})
         return out
 
     def _triples(self):
@@ -87,7 +100,7 @@ class FinDimAlgebra:
         """Unitality, weight additivity on the basis, and associativity on
         every basis triple inside the truncation."""
         for b in range(self.dim):
-            e = {b: QQ(1)}
+            e = {b: 1}
             if self.multiply(self.unit, e) != e or \
                     self.multiply(e, self.unit) != e:
                 raise ValueError("unit fails on %s" % self.basis[b])
@@ -100,8 +113,8 @@ class FinDimAlgebra:
                             "product %s*%s not weight-homogeneous"
                             % (self.basis[i], self.basis[j]))
         for i, j, k in self._triples():
-            lhs = self.multiply(self.multiply_basis(i, j), {k: QQ(1)})
-            rhs = self.multiply({i: QQ(1)}, self.multiply_basis(j, k))
+            lhs = self.multiply(self.multiply_basis(i, j), {k: 1})
+            rhs = self.multiply({i: 1}, self.multiply_basis(j, k))
             if lhs != rhs:
                 raise ValueError(
                     "associativity fails on (%s, %s, %s)"
@@ -128,13 +141,13 @@ class FinDimAlgebra:
         u = self.unit_basis_index()
         if u is None:
             raise ValueError("unit is not a basis element")
-        if self.augmentation.get(u, ZERO) != 1:
+        if self.augmentation.get(u, 0) != 1:
             raise ValueError("augmentation(unit) != 1")
         ideal = []
         for i in range(self.dim):
             if i == u:
                 continue
-            if self.augmentation.get(i, ZERO):
+            if self.augmentation.get(i, 0):
                 raise ValueError(
                     "basis element %s not in the augmentation ideal"
                     % self.basis[i])
@@ -148,9 +161,9 @@ class FinDimAlgebra:
         """
         if not indices:
             raise ValueError("empty product lands outside the ideal")
-        out = {indices[0]: QQ(1)}
+        out = {indices[0]: 1}
         for i in indices[1:]:
-            out = self.multiply(out, {i: QQ(1)})
+            out = self.multiply(out, {i: 1})
         if unit_index in out:
             raise ValueError("product of ideal elements has a unit part")
         return out

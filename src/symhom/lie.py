@@ -156,21 +156,16 @@ class CECoalgebra:
     def words_of_hdeg(self, h):
         """All wedge words of homological degree h (sorted tuples)."""
         out = []
-        n = self.lie.dim
-
-        def rec(start, hh, acc):
+        stack = [(0, h, ())]
+        while stack:
+            start, hh, acc = stack.pop()
             if hh == 0:
-                out.append(tuple(acc))
-                return
-            for i in range(start, n):
-                if self.hdeg_xi[i] > hh:
-                    continue
-                acc.append(i)
-                rec(i + 1 if self.parities[i] else i, hh - self.hdeg_xi[i],
-                    acc)
-                acc.pop()
-
-        rec(0, h, [])
+                out.append(acc)
+                continue
+            for i in range(start, self.lie.dim):
+                if self.hdeg_xi[i] <= hh:
+                    stack.append((i + 1 if self.parities[i] else i,
+                                  hh - self.hdeg_xi[i], acc + (i,)))
         out.sort()
         return out
 

@@ -1,14 +1,23 @@
 """Sparse exact linear algebra over the rationals.
 
+A scalar is an int or a fractions.Fraction, never a float.  Almost every
+matrix in the package has integer entries, and int arithmetic is several
+times faster than Fraction arithmetic, so a matrix holds an integral
+entry as an int (exact), and the elimination takes a factor as an int
+whenever the division comes out even (div).  A value computed from a
+Fraction may stay a Fraction with denominator 1; it compares and hashes
+equal to the int.  The arithmetic is exact either way, so no result
+depends on which type holds a value.
+
 Vectors are plain dictionaries key -> nonzero scalar, the only vector type
 in the package (polynomials, bar and symmetric bar elements, Lie algebra
 elements); add_term is the one "add, drop if zero" step on them.
-Matrices are dictionaries (row, col) -> nonzero rational, and
+Matrices are dictionaries (row, col) -> nonzero scalar, and
 SparseMatrix.from_images is the one block builder: every block of every
 complex in the package is the matrix of the images of a source basis,
 written on a target basis.
 
-eliminate is the one elimination of the package: rational Gaussian
+eliminate is the one elimination of the package: exact Gaussian
 elimination on sparse rows with a Markowitz-style pivot choice (sparsest
 column, then sparsest row in it), which keeps fill-in tolerable on the
 face-map matrices produced elsewhere in the package.  The sparsest column
@@ -24,11 +33,13 @@ each block once and checks d . d = 0 at every position.
 
 from heapq import heappop, heappush
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 
 __all__ = [
     "SparseMatrix",
     "add_term",
+    "exact",
+    "div",
     "QuotientSpace",
     "CompositionNonZeroError",
     "eliminate",
@@ -41,6 +52,30 @@ __all__ = [
 
 class CompositionNonZeroError(Exception):
     """Raised when two maps that should compose to zero do not."""
+
+
+def exact(x):
+    """x as an exact scalar: an int when it is integral, else a Fraction.
+
+    Accepts ints, Fractions and anything QQ accepts ("p/q" strings,
+    floats, which convert exactly)."""
+    if type(x) is not int:
+        x = QQ(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
+
+
+def div(a, p):
+    """a / p exactly: a // p when both are ints and p divides a, else a
+    Fraction, given back as an int when it is integral.  Two ints are
+    never divided with /, which would give a float."""
+    if type(a) is int and type(p) is int:
+        if not a % p:
+            return a // p
+        return QQ(a, p)
+    q = a / p
+    return q.numerator if q.denominator == 1 else q
 
 
 def add_term(acc, key, c):
@@ -64,7 +99,8 @@ def add_term(acc, key, c):
 class SparseMatrix:
     """An immutable-by-convention sparse matrix over QQ.
 
-    entries maps (row, col) -> scalar; zeros are never stored.
+    entries maps (row, col) -> exact scalar (see exact); zeros are never
+    stored.
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -75,7 +111,7 @@ class SparseMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError("entry (%d, %d) out of bounds" % (i, j))
-                v = QQ(v)
+                v = exact(v)
                 if v:
                     self.entries[(i, j)] = v
 
@@ -87,7 +123,7 @@ class SparseMatrix:
         for i, row in enumerate(data):
             for j, v in enumerate(row):
                 if v:
-                    entries[(i, j)] = QQ(v)
+                    entries[(i, j)] = v
         return cls(rows, cols, entries)
 
     @classmethod
@@ -107,7 +143,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): QQ(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows, cols):
@@ -129,7 +165,7 @@ class SparseMatrix:
         for (i, k), u in self.entries.items():
             for j, v in by_row.get(k, ()):
                 key = (i, j)
-                w = out.get(key, ZERO) + u * v
+                w = out.get(key, 0) + u * v
                 if w:
                     out[key] = w
                 elif key in out:
@@ -196,9 +232,9 @@ def eliminate(rows):
             if rid == piv:
                 continue
             row = rows[rid]
-            factor = row[c] / piv_val
+            factor = div(row[c], piv_val)
             for cc, vv in piv_row.items():
-                w = row.get(cc, ZERO) - factor * vv
+                w = row.get(cc, 0) - factor * vv
                 if w:
                     if cc not in row:
                         col_rows[cc].add(rid)
@@ -234,11 +270,11 @@ def kernel_basis(M):
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
     vectors = []
     for f in free_cols:
-        vec = {f: QQ(1)}
+        vec = {f: 1}
         for pc, row in reversed(pivots):
             s = sum(v * vec[j] for j, v in row.items() if j in vec)
             if s:
-                vec[pc] = -s / row[pc]
+                vec[pc] = div(-s, row[pc])
         vectors.append(vec)
     return vectors
 
@@ -254,7 +290,7 @@ class QuotientSpace:
     def __init__(self, labels, relations):
         self.labels = list(labels)
         order = {lab: i for i, lab in enumerate(self.labels)}
-        rows = [{order[lab]: QQ(v) for lab, v in rel.items() if v}
+        rows = [{order[lab]: exact(v) for lab, v in rel.items() if v}
                 for rel in relations]
         self._pivots = eliminate(rows)
         pivot_set = {pc for pc, _ in self._pivots}
@@ -268,12 +304,12 @@ class QuotientSpace:
 
     def project(self, vec):
         """Coordinates of a vector's class on the quotient basis."""
-        v = {self._order[lab]: QQ(c) for lab, c in vec.items() if c}
+        v = {self._order[lab]: exact(c) for lab, c in vec.items() if c}
         for pc, row in self._pivots:
             if pc in v:
-                factor = v[pc] / row[pc]
+                factor = div(v[pc], row[pc])
                 for cc, vv in row.items():
-                    w = v.get(cc, ZERO) - factor * vv
+                    w = v.get(cc, 0) - factor * vv
                     if w:
                         v[cc] = w
                     elif cc in v:

@@ -11,8 +11,7 @@ when some rotation fixes the word with sign -1.
 
 from .commalg import CommDGAlgebra
 from .freealg import GeneratorSpec
-from .linalg import SparseMatrix, add_term
-from .rationals import ONE
+from .linalg import SparseMatrix, add_term, exact
 
 __all__ = ["rep_n", "CyclicQuotientComplex", "cyclic_quotient",
            "trace_chain_map", "hr_n"]
@@ -25,7 +24,7 @@ def _entry_name(gname, a, b):
 def _matrix_of_word(S, n, word):
     """Entries of the product of the generic n x n matrices of a word's
     letters, in rep_n's algebra S: dict (a, b) -> polynomial."""
-    mat = {(a, b): ({(): ONE} if a == b else {})
+    mat = {(a, b): ({(): 1} if a == b else {})
            for a in range(n) for b in range(n)}
     for gname in word:
         nxt = {}
@@ -35,7 +34,7 @@ def _matrix_of_word(S, n, word):
                 for c in range(n):
                     left = mat[(a, c)]
                     if left:
-                        gen = {(S.index[_entry_name(gname, c, b)],): ONE}
+                        gen = {(S.index[_entry_name(gname, c, b)],): 1}
                         for m, v in S.mul(left, gen).items():
                             add_term(acc, m, v)
                 nxt[(a, b)] = acc
@@ -63,7 +62,7 @@ def rep_n(R, n):
         for word, coeff in dg.items():
             for ab, poly in _matrix_of_word(S, n, word).items():
                 for m, c in poly.items():
-                    add_term(entry_polys[ab], m, c * coeff)
+                    add_term(entry_polys[ab], m, exact(c * coeff))
         for (a, b), poly in entry_polys.items():
             if poly:
                 diff[_entry_name(g.name, a, b)] = poly
@@ -107,19 +106,16 @@ class CyclicQuotientComplex:
 
     def _words(self, h, w):
         out = []
-        gens = self.R.generators
-
-        def rec(hh, ww, acc):
+        stack = [(h, w, ())]
+        while stack:
+            hh, ww, acc = stack.pop()
             if hh == 0 and ww == 0:
-                out.append(tuple(acc))
-                return
-            for g in gens:
+                out.append(acc)
+                continue
+            for g in self.R.generators:
                 if g.hdeg <= hh and g.weight <= ww:
-                    acc.append(g.name)
-                    rec(hh - g.hdeg, ww - g.weight, acc)
-                    acc.pop()
-
-        rec(h, w, [])
+                    stack.append((hh - g.hdeg, ww - g.weight,
+                                  acc + (g.name,)))
         return out
 
     def basis(self, h, w):

@@ -45,9 +45,13 @@ def test_empty_monomial_degenerate_in_positive_levels():
 
 def test_budget_overflow_raises():
     A = free_tensor_algebra(2, 6)
-    with pytest.raises(CapOverflowError):
+    # the message names the block whose basis crossed the budget
+    with pytest.raises(CapOverflowError,
+                       match=r"budget 100 at \(level, weight\) = \(3, 5\)"):
         bar_level_basis(A, 3, 6, budget=100)
-    with pytest.raises(CapOverflowError):
+    assert len(bar_level_basis(A, 3, 4, budget=100)) <= 100
+    with pytest.raises(CapOverflowError,
+                       match=r"budget 1000 at \(level, weight\) = \(1, 5\)"):
         hr_via_bar(A, 3, 6, budget=1000)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, formats, caching, comparison."""
 
+import functools
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from symhom import __version__, cli
-from symhom.bar import CapOverflowError
+from symhom.bar import hr_via_bar
 from symhom.betti import BettiTable
 from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
                            truncated_poly_algebra)
@@ -265,13 +266,30 @@ def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
 
 
 def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
-    def over_budget(*args, **kwargs):
-        raise CapOverflowError("bar complex exceeds budget 1 at level 0")
-
-    monkeypatch.setattr(cli, "hr_via_bar", over_budget)
-    code, out, err = run(capsys, "hs", "dual-numbers", "--pipeline", "bar")
+    # the real bar route, with a budget its basis crosses in the block of
+    # level 2 and weight 5
+    monkeypatch.setattr(cli, "hr_via_bar",
+                        functools.partial(hr_via_bar, budget=50))
+    code, out, err = run(capsys, "hs", "dual-numbers", "--pipeline", "bar",
+                         "--deg-cap", "3", "--weight-cap", "5")
     assert code == 3 and out == ""
-    assert err == "error: bar complex exceeds budget 1 at level 0\n"
+    assert err == ("error: bar complex exceeds budget 50 at "
+                   "(level, weight) = (2, 5)\n")
+
+
+def test_default_and_named_pipeline_share_one_cache_entry(tmp_path,
+                                                          capsys):
+    path = tmp_path / "res.json"
+    path.write_text(dual_numbers_resolution(3).to_json())
+    for name in ("dual-numbers", str(path)):
+        cache = tmp_path / ("cache-" + os.path.basename(name))
+        args = ("hs", name, "--deg-cap", "1", "--weight-cap", "2",
+                "--cache-dir", str(cache))
+        code1, default, _ = run(capsys, *args)
+        code2, named, _ = run(capsys, *args, "--pipeline", "dg")
+        assert code1 == code2 == 0 and default == named
+        (entry,) = cache.iterdir()
+        assert json.loads(entry.read_text())["job"]["pipeline"] == "dg"
 
 
 def test_entry_cached_under_the_old_key_is_not_served(tmp_path, capsys):

@@ -6,6 +6,10 @@ import random
 import pytest
 
 from symhom import linalg
+from symhom.bar import bar_level_basis, face_map, hr_via_bar
+from symhom.commalg import abelianize
+from symhom.findim import dual_numbers_algebra
+from symhom.freealg import dual_numbers_resolution
 from symhom.linalg import (CompositionNonZeroError, QuotientSpace,
                            SparseMatrix, homology_by_blocks, homology_dim,
                            kernel_basis, rank)
@@ -272,3 +276,126 @@ def test_homology_by_blocks_rejects_non_complex():
     with pytest.raises(CompositionNonZeroError):
         homology_by_blocks(
             positions, lambda h, w: simplex_boundary(h, w, signed=False), 0)
+
+
+# integral scalars ------------------------------------------------------
+
+def is_exact(x):
+    """An exact scalar: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is QQ and x.denominator != 1)
+
+
+def test_entries_are_held_as_ints_when_integral():
+    M = SparseMatrix(2, 2, {(0, 0): QQ(4, 2), (0, 1): "3/6", (1, 1): -1})
+    assert M.entries == {(0, 0): 2, (0, 1): QQ(1, 2), (1, 1): -1}
+    assert [type(M.entries[k]) for k in ((0, 0), (0, 1), (1, 1))] == \
+        [int, QQ, int]
+    assert all(type(v) is int for v in SparseMatrix.identity(3)
+               .entries.values())
+    assert all(type(v) is int for v in SparseMatrix.from_dense(
+        [[QQ(2), 0], [QQ(-3), QQ(6, 3)]]).entries.values())
+
+
+def test_div_stays_integral_when_exact():
+    assert linalg.div(6, 3) == 2 and type(linalg.div(6, 3)) is int
+    assert linalg.div(-6, 4) == QQ(-3, 2)
+    assert linalg.div(QQ(3, 2), QQ(1, 2)) == 3
+    assert type(linalg.div(QQ(3, 2), QQ(1, 2))) is int
+    assert linalg.div(1, QQ(2, 3)) == QQ(3, 2)
+
+
+def test_eliminate_on_ints_and_fractions_agrees():
+    rng = random.Random(303)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        if trial % 2:
+            M = tie_heavy_matrix(rng, rows, cols)
+        else:
+            M = random_matrix(rng, rows, cols, density=rng.random() * 0.5)
+        int_rows = M.row_dicts()
+        assert all(type(v) is int for r in int_rows for v in r.values())
+        frac_rows = [{j: QQ(v) for j, v in r.items()} for r in int_rows]
+        with_ints = linalg.eliminate([dict(r) for r in int_rows])
+        with_fracs = linalg.eliminate(frac_rows)
+        assert [c for c, _ in with_ints] == [c for c, _ in with_fracs]
+        assert [r for _, r in with_ints] == [r for _, r in with_fracs]
+
+
+def test_pivots_that_force_fractions():
+    # every column is hit by both rows, so the first pivot is 2 in
+    # column 0 and the second row is reduced by the factor 3/2
+    M = SparseMatrix.from_dense([[2, 1, 1], [3, 1, 2]])
+    pivots = linalg.eliminate(M.row_dicts())
+    assert pivots == [(0, {0: 2, 1: 1, 2: 1}),
+                      (1, {1: QQ(-1, 2), 2: QQ(1, 2)})]
+    assert rank(M) == 2
+    ker = kernel_basis(M)
+    assert ker == [{0: -1, 1: 1, 2: 1}]
+    assert all(type(v) is int for v in ker[0].values())
+    q = QuotientSpace("abc", [{"a": 2, "b": 1, "c": 1},
+                              {"a": 3, "b": 1, "c": 2}])
+    assert q.basis == ["c"]
+    # a + c = 0 and b = c in the quotient
+    assert q.project({"a": 1}) == {"c": -1}
+    assert q.project({"b": 1}) == {"c": 1}
+    assert q.project({"a": 1, "b": 1}) == {}
+    # a relation whose first pivot divides nothing: 3/2, -1/2
+    q = QuotientSpace("ab", [{"a": 2, "b": 3}])
+    assert q.project({"a": 1}) == {"b": QQ(-3, 2)}
+    assert kernel_basis(SparseMatrix.from_dense([[2, 3]])) == \
+        [{0: QQ(-3, 2), 1: 1}]
+
+
+def test_no_float_ever_appears():
+    rng = random.Random(404)
+    for trial in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        entries = {(i, j): rng.choice((rng.randint(-4, 4),
+                                       QQ(rng.randint(-4, 4), 3)))
+                   for i in range(rows) for j in range(cols)
+                   if rng.random() < 0.5}
+        M = SparseMatrix(rows, cols, entries)
+        assert all(is_exact(v) for v in M.entries.values())
+        assert all(is_exact(v) for v in M.matmul(M.transpose())
+                   .entries.values())
+        for _, row in linalg.eliminate(M.row_dicts()):
+            assert all(type(v) in (int, QQ) for v in row.values())
+        for vec in kernel_basis(M):
+            assert all(type(v) in (int, QQ) for v in vec.values())
+            assert M.apply(vec) == {}
+        q = QuotientSpace(range(cols), [{j: v for j, v in r.items()}
+                                        for r in M.row_dicts()])
+        for j in range(cols):
+            assert all(type(v) in (int, QQ)
+                       for v in q.project({j: QQ(1, 2)}).values())
+
+
+def test_bar_and_dg_blocks_are_integral(monkeypatch):
+    """The dual-numbers bar blocks (n = 1, 2) and the DG blocks, and the
+    faces and the differential that build them, hold only ints: a silent
+    fall-back to Fraction arithmetic fails here."""
+    blocks = []
+    real_rank = linalg.rank
+
+    def recording_rank(M):
+        blocks.append(M)
+        return real_rank(M)
+
+    monkeypatch.setattr(linalg, "rank", recording_rank)
+    A = dual_numbers_algebra()
+    hr_via_bar(A, 3, 5)
+    hr_via_bar(A, 2, 3, n=2)
+    C = abelianize(dual_numbers_resolution(5))
+    C.homology_table(4, 6)
+    assert sum(len(M.entries) for M in blocks) > 400
+    assert all(type(v) is int for M in blocks for v in M.entries.values())
+    assert all(type(c) is int for poly in C.differential.values()
+               for c in poly.values())
+    for h in range(5):
+        for mono in C.monomial_basis(h, 6):
+            assert all(type(c) is int for c in C.d({mono: 1}).values())
+    for n in range(1, 4):
+        for mono in bar_level_basis(A, n, 5):
+            for i in range(n + 1):
+                face = face_map(A, n, i, {mono: 1})
+                assert all(type(c) is int for c in face.values())

@@ -1,17 +1,28 @@
 """Names that live outside the package must keep resolving: the
 benchmark's tracer wraps symhom calls by name (a rename would silently
 drop spans from its metrics), and the README lists the CLI built-ins.
-Inside the package, every import is used and every export exists."""
+Inside the package, every import is used and every export exists, and a
+table computation leaves no reference cycle behind: a cycle would keep
+its per-call caches alive until the cyclic collector runs."""
 
 import ast
+import gc
 import glob
 import importlib
 import importlib.util
 import os
 import re
 
+import pytest
+
 import symhom
 from symhom import cli
+from symhom.bar import hr_via_bar
+from symhom.commalg import abelianize
+from symhom.findim import dual_numbers_algebra
+from symhom.freealg import dual_numbers_resolution
+from symhom.lie import ce_homology, sl2
+from symhom.repfun import hr_n
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.dirname(symhom.__file__)
@@ -70,3 +81,21 @@ def test_every_import_is_used_and_every_export_resolves():
         unresolved += ["%s.%s" % (name, n) for n in exported
                        if not hasattr(module, n)]
     assert unused == [] and unresolved == []
+
+
+@pytest.mark.parametrize("job", [
+    lambda: hr_via_bar(dual_numbers_algebra(), 3, 5),
+    lambda: hr_via_bar(dual_numbers_algebra(), 2, 3, n=2),
+    lambda: abelianize(dual_numbers_resolution(5)).homology_table(4, 6),
+    lambda: hr_n(dual_numbers_resolution(4), 2, 2, 3),
+    lambda: ce_homology(sl2(), 3),
+], ids=["hr_via_bar-n1", "hr_via_bar-n2", "homology_table", "hr_n",
+        "ce_homology"])
+def test_table_computations_leave_no_reference_cycle(job):
+    gc.collect()
+    gc.disable()
+    try:
+        job()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
