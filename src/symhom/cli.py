@@ -41,7 +41,7 @@ BUILTINS = {
         "resolution": lambda size, d, w: dual_numbers_resolution(d + 1),
         "algebra": lambda *_: dual_numbers_algebra()},
     "poly": {"lie": lambda size, d, w: abelian_lie(size),
-             "algebra": lambda size, d, w: truncated_poly_algebra(w)},
+             "algebra": lambda size, d, w: truncated_poly_algebra(w, size)},
     "free": {
         "algebra": lambda size, d, w: free_tensor_algebra(size, w),
         "resolution": lambda size, d, w:
@@ -120,8 +120,8 @@ def load(name, kind=None, deg_cap=None, weight_cap=None):
 
 def _parse_input(path, parse, kind):
     """parse(text of the file at path); an unreadable file, malformed
-    JSON, a missing key or a value of the wrong shape becomes a ValueError
-    that names the file."""
+    JSON, a missing key, a value of the wrong shape or an input the
+    constructor rejects becomes a ValueError that names the file."""
     try:
         with open(path) as fh:
             return parse(fh.read())
@@ -130,6 +130,9 @@ def _parse_input(path, parse, kind):
                          % (kind, path, exc)) from None
     except json.JSONDecodeError as exc:
         raise ValueError("%s input %s is not valid JSON: %s"
+                         % (kind, path, exc)) from None
+    except ValueError as exc:
+        raise ValueError("%s input %s is invalid: %s"
                          % (kind, path, exc)) from None
     except KeyError as exc:
         raise ValueError("%s input %s: missing or unknown key %s"
@@ -166,7 +169,8 @@ def _at_least(low):
 
 # Raised whenever a fix changes some computed table, so that no entry
 # cached before the fix is served.  2: cobar generators kept past the caps.
-ALGORITHM_VERSION = 2
+# 3: the algebra form of poly:N is k[x_1..x_N], not k[x].
+ALGORITHM_VERSION = 3
 
 
 def _digest(job):

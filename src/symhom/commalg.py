@@ -13,7 +13,7 @@ call through a memo that lives only for that call.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, add_term, exact, homology_by_blocks
+from .linalg import SparseMatrix, add_term, homology_by_blocks
 
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
 
@@ -209,8 +209,8 @@ def abelianize(R):
     """Universal graded-commutative quotient of a FreeDGAlgebra.
 
     Same generators; each differential image is rewritten into monomial
-    normal form with Koszul signs (odd squares vanish), integral
-    coefficients held as ints.
+    normal form with Koszul signs (odd squares vanish); R holds exact
+    scalars, so integral coefficients stay ints.
     """
     gens = list(R.generators)
     parities = [g.hdeg % 2 for g in gens]
@@ -221,7 +221,7 @@ def abelianize(R):
         for word, c in poly.items():
             sign, mono = sort_word([index[n] for n in word], parities)
             if sign:
-                add_term(out, mono, exact(c * sign))
+                add_term(out, mono, c * sign)
         if out:
             diff[name] = out
     return CommDGAlgebra(gens, diff)

@@ -12,23 +12,12 @@ truncated at a weight bound, with products beyond the bound discarded
 import itertools
 import json
 
-from .linalg import add_term, exact
+from .linalg import add_term, exact, exact_vector
 from .rationals import qq, qq_str
 
 __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
            "upper_triangular_algebra", "truncated_poly_algebra",
            "free_tensor_algebra"]
-
-
-def _exact_nonzero(vec):
-    """The vector with exact scalars (integral ones as ints), zeros
-    dropped."""
-    out = {}
-    for k, c in vec.items():
-        c = exact(c)
-        if c:
-            out[k] = c
-    return out
 
 
 class FinDimAlgebra:
@@ -40,10 +29,10 @@ class FinDimAlgebra:
         self.index = {b: i for i, b in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis names")
-        self.unit = _exact_nonzero({self.index[b]: c for b, c in unit.items()})
+        self.unit = exact_vector({self.index[b]: c for b, c in unit.items()})
         self.mult = {}
         for (i, j), vec in mult.items():
-            vec = _exact_nonzero(vec)
+            vec = exact_vector(vec)
             if vec:
                 self.mult[(i, j)] = vec
         self.weights = None
@@ -260,25 +249,32 @@ def upper_triangular_algebra():
     return FinDimAlgebra(basis, {"e11": 1, "e22": 1}, mult)
 
 
-def truncated_poly_algebra(weight_cap):
-    """k[x] with basis x^i, i <= weight_cap; weight(x^i) = i."""
-    basis = ["1"] + ["x^%d" % i for i in range(1, weight_cap + 1)]
+def truncated_poly_algebra(weight_cap, nvars=1):
+    """k[x_1..x_nvars] with basis the monomials of degree <= weight_cap,
+    weight = degree.  Basis names: 1, x^i for one variable, and products
+    such as x1^2*x3^1 for several."""
+    exponents = sorted(
+        (e for e in itertools.product(range(weight_cap + 1), repeat=nvars)
+         if sum(e) <= weight_cap),
+        key=sum)
+    letters = ["x"] if nvars == 1 else ["x%d" % (v + 1) for v in range(nvars)]
 
-    def name(i):
-        return "1" if i == 0 else "x^%d" % i
+    def name(e):
+        return "*".join("%s^%d" % (x, i)
+                        for x, i in zip(letters, e) if i) or "1"
 
+    basis = [name(e) for e in exponents]
+    index = {e: i for i, e in enumerate(exponents)}
     mult = {}
-    for i in range(weight_cap + 1):
-        for j in range(weight_cap + 1):
-            if i + j <= weight_cap:
-                mult[(i, j)] = {i + j: 1}
-            else:
-                mult[(i, j)] = {}
+    for i, a in enumerate(exponents):
+        for j, b in enumerate(exponents):
+            ab = tuple(p + q for p, q in zip(a, b))
+            if ab in index:
+                mult[(i, j)] = {index[ab]: 1}
     return FinDimAlgebra(
         basis, {"1": 1}, mult,
-        weights={name(i): i for i in range(weight_cap + 1)},
-        augmentation={name(i): (1 if i == 0 else 0)
-                      for i in range(weight_cap + 1)},
+        weights={name(e): sum(e) for e in exponents},
+        augmentation={name(e): (1 if not any(e) else 0) for e in exponents},
         truncation=weight_cap,
     )
 

@@ -10,8 +10,8 @@ tuple of generator names, as every vector in the package is a plain dict.
 import json
 from dataclasses import dataclass
 
-from .linalg import add_term
-from .rationals import QQ, qq, qq_str
+from .linalg import add_term, exact_vector
+from .rationals import qq, qq_str
 
 __all__ = ["GeneratorSpec", "FreeDGAlgebra",
            "dual_numbers_resolution", "free_resolution_of_tensor_algebra"]
@@ -36,7 +36,8 @@ class FreeDGAlgebra:
 
     def __init__(self, generators, differential=None):
         """differential maps a generator name to its image, a dict word ->
-        scalar; the scalars are made rationals and zeros dropped here."""
+        scalar; the scalars are made exact (linalg.exact) and zeros
+        dropped here."""
         self.generators = list(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
@@ -46,9 +47,7 @@ class FreeDGAlgebra:
         for name, poly in (differential or {}).items():
             if name not in self.gen_by_name:
                 raise ValueError("differential on unknown generator %r" % name)
-            terms = {}
-            for word, c in poly.items():
-                add_term(terms, tuple(word), QQ(c))
+            terms = exact_vector({tuple(w): c for w, c in poly.items()})
             if terms:
                 self.differential[name] = terms
         self._validate_grading()
@@ -77,7 +76,7 @@ class FreeDGAlgebra:
         """Derivation differential: d(ab) = d(a)b + (-1)^{|a|} a d(b)."""
         out = {}
         for word, c in poly.items():
-            sign = QQ(c)
+            sign = c
             for i, name in enumerate(word):
                 for m, cg in self.differential.get(name, {}).items():
                     add_term(out, word[:i] + m + word[i + 1:], sign * cg)

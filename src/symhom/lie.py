@@ -3,19 +3,23 @@ the cobar construction on the CE coalgebra, and closed-form homology of
 enveloping algebras.
 
 The CE complex is the exterior coalgebra on the suspension: a wedge word
-is a sorted tuple of suspended generators (parity = degree + 1), the
-differential combines the internal differential of the Lie algebra with
-bracket contraction, and the reduced coproduct is the unshuffle with
-Koszul signs.  The cobar construction is the free DG algebra on the
-desuspended reduced coalgebra; its abelianization is weight-graded by
-exterior length (the differential drops it by exactly 1).
+is a monomial of commalg's graded-commutative algebra on the suspended
+generators (parity = degree + 1, weight = exterior length), and every
+Koszul sign comes from commalg.sort_word.  The differential combines the
+internal differential of the Lie algebra (that algebra's derivation d)
+with bracket contraction, and the reduced coproduct is the unshuffle.
+The cobar construction is the free DG algebra on the desuspended reduced
+coalgebra; its abelianization is weight-graded by exterior length (the
+differential drops it by exactly 1).  Scalars are exact (linalg.exact),
+so the structure constants of the built-ins and every differential built
+on them are ints.
 """
 
 from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec
-from .linalg import SparseMatrix, add_term, homology_by_blocks
-from .rationals import QQ, qq
+from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
+from .rationals import qq
 
 import json
 
@@ -29,7 +33,9 @@ class DGLie:
     """Finite-dimensional DG Lie algebra by structure constants.
 
     bracket maps (i, j) -> sparse vector; pairs may be given in either
-    order, the missing one is filled in by graded antisymmetry.
+    order, the missing one is filled in by graded antisymmetry.  Degrees
+    are integers >= 0, basis names distinct, and scalars are made exact
+    (linalg.exact) here.
     """
 
     def __init__(self, names, hdegs, bracket=None, differential=None):
@@ -37,20 +43,25 @@ class DGLie:
         self.hdegs = list(hdegs)
         if len(self.names) != len(self.hdegs):
             raise ValueError("need one degree per basis name")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("basis names must be distinct")
+        for name, h in zip(self.names, self.hdegs):
+            if type(h) is not int or h < 0:
+                raise ValueError("degree of %s must be an integer >= 0, "
+                                 "got %r" % (name, h))
         self.dim = len(self.names)
         self.bracket = {}
         for (i, j), vec in (bracket or {}).items():
-            vec = {k: QQ(c) for k, c in vec.items() if QQ(c)}
-            self._set_bracket(i, j, vec)
+            self._set_bracket(i, j, exact_vector(vec))
         self.differential = {}
         for i, vec in (differential or {}).items():
-            vec = {k: QQ(c) for k, c in vec.items() if QQ(c)}
+            vec = exact_vector(vec)
             if vec:
                 self.differential[i] = vec
         self.validate()
 
     def _set_bracket(self, i, j, vec):
-        sgn = -QQ(1) if (self.hdegs[i] * self.hdegs[j]) % 2 == 0 else QQ(1)
+        sgn = -1 if (self.hdegs[i] * self.hdegs[j]) % 2 == 0 else 1
         flipped = {k: sgn * c for k, c in vec.items()}
         for key, val in (((i, j), vec), ((j, i), flipped)):
             if key in self.bracket and self.bracket[key] != val:
@@ -93,10 +104,10 @@ class DGLie:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self.bkt_vec({i: QQ(1)}, self.bkt(j, k))
-                    acc = self.bkt_vec(self.bkt(i, j), {k: QQ(1)})
+                    lhs = self.bkt_vec({i: 1}, self.bkt(j, k))
+                    acc = self.bkt_vec(self.bkt(i, j), {k: 1})
                     sgn = -1 if (self.hdegs[i] * self.hdegs[j]) % 2 else 1
-                    for m, v in self.bkt_vec({j: QQ(1)},
+                    for m, v in self.bkt_vec({j: 1},
                                              self.bkt(i, k)).items():
                         add_term(acc, m, sgn * v)
                     if lhs != acc:
@@ -106,9 +117,9 @@ class DGLie:
         # d is a derivation of the bracket and squares to zero
         for (i, j), vec in self.bracket.items():
             lhs = self.d_vec(vec)
-            acc = self.bkt_vec(self.differential.get(i, {}), {j: QQ(1)})
+            acc = self.bkt_vec(self.differential.get(i, {}), {j: 1})
             sgn = -1 if self.hdegs[i] % 2 else 1
-            for m, v in self.bkt_vec({i: QQ(1)},
+            for m, v in self.bkt_vec({i: 1},
                                      self.differential.get(j, {})).items():
                 add_term(acc, m, sgn * v)
             if lhs != acc:
@@ -142,84 +153,57 @@ class DGLie:
 
 class CECoalgebra:
     """Wedge words on the suspension of a DG Lie algebra, with the CE
-    differential (a coderivation) and the unshuffle reduced coproduct."""
+    differential (a coderivation) and the unshuffle reduced coproduct.
+
+    alg is the graded-commutative algebra on the suspended basis, weight
+    being exterior length, with the suspended internal differential: its
+    monomials are the wedge words, and its d is the internal part of the
+    CE differential."""
 
     def __init__(self, lie, cap):
         self.lie = lie
         self.cap = cap  # max homological degree of wedge words kept
-        self.parities = [(h + 1) % 2 for h in lie.hdegs]
-        self.hdeg_xi = [h + 1 for h in lie.hdegs]
-
-    def word_hdeg(self, word):
-        return sum(self.hdeg_xi[i] for i in word)
+        self.alg = CommDGAlgebra(
+            [GeneratorSpec(name, h + 1, 1)
+             for name, h in zip(lie.names, lie.hdegs)],
+            {lie.names[i]: {(k,): c for k, c in vec.items()}
+             for i, vec in lie.differential.items()})
+        self.parities = self.alg.parities
 
     def words_of_hdeg(self, h):
         """All wedge words of homological degree h (sorted tuples)."""
-        out = []
-        stack = [(0, h, ())]
-        while stack:
-            start, hh, acc = stack.pop()
-            if hh == 0:
-                out.append(acc)
-                continue
-            for i in range(start, self.lie.dim):
-                if self.hdeg_xi[i] <= hh:
-                    stack.append((i + 1 if self.parities[i] else i,
-                                  hh - self.hdeg_xi[i], acc + (i,)))
-        out.sort()
-        return out
-
-    def _add(self, acc, word, coeff):
-        sign, mono = sort_word(word, self.parities)
-        if sign:
-            add_term(acc, mono, coeff * sign)
+        return sorted(word for ell in range(h + 1)
+                      for word in self.alg.monomial_basis(h, ell))
 
     def diff(self, word):
         """CE differential of a wedge word: dict word -> coeff."""
-        out = {}
-        # internal part: replace one letter by the suspension of its d
-        sgn = QQ(1)
-        for r, i in enumerate(word):
-            for k, c in self.lie.differential.get(i, {}).items():
-                self._add(out, word[:r] + (k,) + word[r + 1:], sgn * c)
-            if self.parities[i]:
-                sgn = -sgn
-        # bracket part: contract a pair to the front
+        out = self.alg.d({word: 1})
+        # bracket part: pull a pair to the front (the Koszul sign of the
+        # pull is that of sorting back) and contract it
         for r in range(len(word)):
-            pre_r = sum(self.parities[u] for u in word[:r])
-            sign_r = QQ(-1) if (self.parities[word[r]] * pre_r) % 2 \
-                else QQ(1)
             for s in range(r + 1, len(word)):
-                pre_s = sum(self.parities[u] for u in word[:s]) \
-                    - self.parities[word[r]]
-                sign_s = QQ(-1) if (self.parities[word[s]] * pre_s) % 2 \
-                    else QQ(1)
                 rest = word[:r] + word[r + 1:s] + word[s + 1:]
-                coeff = sign_r * sign_s
+                coeff = sort_word((word[r], word[s]) + rest,
+                                  self.parities)[0]
                 if self.parities[word[r]] == 0:
                     coeff = -coeff
                 for k, c in self.lie.bkt(word[r], word[s]).items():
-                    self._add(out, (k,) + rest, coeff * c)
+                    sign, mono = sort_word((k,) + rest, self.parities)
+                    if sign:
+                        add_term(out, mono, coeff * c * sign)
         return out
 
     def reduced_coproduct(self, word):
-        """Proper unshuffle splits: dict (word1, word2) -> coeff."""
+        """Proper unshuffle splits: dict (word1, word2) -> coeff, the
+        Koszul sign of pulling word1's letters to the front."""
         out = {}
         ell = len(word)
         for mask in range(1, (1 << ell) - 1):
             left, right = [], []
             for pos in range(ell):
                 (left if mask >> pos & 1 else right).append(word[pos])
-            # Koszul sign of pulling the left letters to the front
-            sign = 1
-            for pos in range(ell):
-                if mask >> pos & 1 and self.parities[word[pos]]:
-                    before = sum(self.parities[word[q]]
-                                 for q in range(pos)
-                                 if not (mask >> q & 1))
-                    if before % 2:
-                        sign = -sign
-            add_term(out, (tuple(left), tuple(right)), QQ(sign))
+            add_term(out, (tuple(left), tuple(right)),
+                     sort_word(left + right, self.parities)[0])
         return out
 
     def check_d_squared(self):
@@ -271,15 +255,10 @@ def _ce_homology_bigraded(a, cap):
             "differential")
     shift = -1 if a.bracket else 0
     C = ce_complex(a, cap + 1)
-    by_len = {}
-    for h in range(cap + 2):
-        for w in C.words_of_hdeg(h):
-            by_len.setdefault((h, len(w)), []).append(w)
-    lengths = sorted({ell for (_, ell) in by_len})
-    positions = [(h, ell) for h in range(cap + 1) for ell in lengths
-                 if by_len.get((h, ell)) or by_len.get((h + 1, ell - shift))]
-    dims = _ce_dims(C, positions, lambda h, ell: by_len.get((h, ell), []),
-                    shift)
+    basis = C.alg.monomial_basis
+    positions = [(h, ell) for h in range(cap + 1) for ell in range(h + 1)
+                 if basis(h, ell)]
+    dims = _ce_dims(C, positions, basis, shift)
     return {pos: dim for pos, dim in dims.items() if dim}
 
 
@@ -312,16 +291,11 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
             if len(w2) <= weight_cap:
                 add_term(terms, (_word_name(C, w2),), -c)
         for (w1, w2), c in C.reduced_coproduct(w).items():
-            s1, m1 = sort_word(w1, C.parities)
-            s2, m2 = sort_word(w2, C.parities)
-            if not s1 or not s2:
-                continue
-            sgn = QQ(s1 * s2) * c
             # the Koszul factor from desuspending the left tensor leg;
             # omitting it (the "flipped" control) must break d^2 = 0
-            if not flip_coproduct_sign and C.word_hdeg(m1) % 2:
-                sgn = -sgn
-            add_term(terms, (_word_name(C, m1), _word_name(C, m2)), -sgn)
+            if not flip_coproduct_sign and C.alg.mono_hdeg(w1) % 2:
+                c = -c
+            add_term(terms, (_word_name(C, w1), _word_name(C, w2)), -c)
         diff[name] = terms
     return FreeDGAlgebra(gens, diff)
 

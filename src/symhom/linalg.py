@@ -39,6 +39,7 @@ __all__ = [
     "SparseMatrix",
     "add_term",
     "exact",
+    "exact_vector",
     "div",
     "QuotientSpace",
     "CompositionNonZeroError",
@@ -64,6 +65,16 @@ def exact(x):
         if x.denominator == 1:
             return x.numerator
     return x
+
+
+def exact_vector(vec):
+    """vec with every scalar made exact (see exact) and zeros dropped."""
+    out = {}
+    for k, c in vec.items():
+        c = exact(c)
+        if c:
+            out[k] = c
+    return out
 
 
 def div(a, p):
@@ -314,7 +325,7 @@ class QuotientSpace:
                         v[cc] = w
                     elif cc in v:
                         del v[cc]
-        return {self.labels[i]: c for i, c in v.items()}
+        return {self.labels[i]: exact(c) for i, c in v.items()}
 
 
 def homology_dim(d_out, d_in):

@@ -2,10 +2,10 @@
 
 Every number in this package is an exact rational, never a float: an int
 or a fractions.Fraction in lowest terms with a positive denominator.
-Where the arithmetic is hot -- matrix entries and their elimination, the
-structure constants behind the bar faces, the abelianized DG
-differential -- an integral value is held as an int (linalg.exact and
-linalg.div keep it so), since int arithmetic is several times faster.
+FinDimAlgebra, FreeDGAlgebra, DGLie and SparseMatrix make their scalars
+exact once, in the constructor: an integral value is held as an int
+(linalg.exact and linalg.div keep it so), since int arithmetic is
+several times faster.
 QQ names the Fraction type; qq and qq_str read and write the "p" / "p/q"
 text form.
 """

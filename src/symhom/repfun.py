@@ -11,7 +11,7 @@ when some rotation fixes the word with sign -1.
 
 from .commalg import CommDGAlgebra
 from .freealg import GeneratorSpec
-from .linalg import SparseMatrix, add_term, exact
+from .linalg import SparseMatrix, add_term
 
 __all__ = ["rep_n", "CyclicQuotientComplex", "cyclic_quotient",
            "trace_chain_map", "hr_n"]
@@ -62,7 +62,7 @@ def rep_n(R, n):
         for word, coeff in dg.items():
             for ab, poly in _matrix_of_word(S, n, word).items():
                 for m, c in poly.items():
-                    add_term(entry_polys[ab], m, exact(c * coeff))
+                    add_term(entry_polys[ab], m, c * coeff)
         for (a, b), poly in entry_polys.items():
             if poly:
                 diff[_entry_name(g.name, a, b)] = poly

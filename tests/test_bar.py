@@ -12,6 +12,7 @@ from symhom.deltas import abelianization_quotient
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
                            truncated_poly_algebra)
 from symhom.freealg import dual_numbers_resolution
+from symhom.lie import abelian_lie, hs_env_closed_form, hs_env_via_cobar
 from symhom.repfun import hr_n
 from symhom.rationals import QQ
 
@@ -92,6 +93,18 @@ def test_poly_algebra_has_no_higher_homology():
     A = truncated_poly_algebra(4)
     table = hr_via_bar(A, 3, 4)
     assert table.degree_totals() == [5, 0, 0, 0]
+
+
+def test_polynomial_algebra_bar_cobar_and_closed_form_agree():
+    # k[x_1..x_N] by the bar route, and U of the abelian Lie algebra k^N
+    # by the cobar route and the closed form, at every cap of a sweep
+    for nvars, deg_cap, weight_cap in ((1, 3, 5), (2, 3, 4), (3, 2, 3)):
+        a = abelian_lie(nvars)
+        for d in range(deg_cap + 1):
+            for w in range(weight_cap + 1):
+                bar = hr_via_bar(truncated_poly_algebra(w, nvars), d, w)
+                assert bar == hs_env_via_cobar(a, d, w) == \
+                    hs_env_closed_form(a, d, w), (nvars, d, w)
 
 
 # every cap with d <= 3, w <= 4, and one larger weight cap

@@ -130,6 +130,14 @@ def test_compare_mismatch(capsys):
     assert "mismatch" in out
 
 
+def test_compare_poly_bar_and_cobar_agree(capsys):
+    # poly:N is k[x_1..x_N] on both routes
+    spec = "hs poly:2 --pipeline %s --deg-cap 2 --weight-cap 3"
+    code, out, _ = run(capsys, "compare", spec % "bar", spec % "cobar")
+    assert code == 0
+    assert "agree" in out
+
+
 def test_cache_round_trip(tmp_path, capsys):
     args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
             "--weight-cap", "4", "--format", "json",
@@ -249,6 +257,7 @@ def test_option_a_command_does_not_read_exits_2(capsys, argv):
     ("bar", '{"basis": ["1", "x"], "mult": ['),
     ("dg", '{"generators": [{"name": "x", "hdeg": 0}]}'),
     ("cobar", '{"basis": [{"hdeg": 0}]}'),
+    ("cobar", '{"basis": [{"name": "x", "hdeg": -1}]}'),
     (None, '{"mult": '),
     (None, '[1, 2]'),
 ])

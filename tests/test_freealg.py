@@ -53,11 +53,14 @@ def test_weight_dropping_differential_allowed():
 
 def test_differential_coefficients_are_rationals_without_zeros():
     gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("s", 1, 2),
-            GeneratorSpec("t", 1, 2)]
-    R = FreeDGAlgebra(gens, {"s": {("x", "x"): 2, ("x",): 0},
-                             "t": {("x", "x"): 0}})
-    assert R.differential == {"s": {("x", "x"): 2}}
-    assert all(type(c) is QQ for c in R.d_gen("s").values())
+            GeneratorSpec("t", 1, 2), GeneratorSpec("u", 1, 2)]
+    R = FreeDGAlgebra(gens, {"s": {("x", "x"): QQ(4, 2), ("x",): 0},
+                             "t": {("x", "x"): 0},
+                             "u": {("x", "x"): "1/2"}})
+    assert R.differential == {"s": {("x", "x"): 2},
+                              "u": {("x", "x"): QQ(1, 2)}}
+    assert type(R.d_gen("s")[("x", "x")]) is int
+    assert type(R.d_gen("u")[("x", "x")]) is QQ
     assert R.d_gen("t") == {}
 
 

@@ -9,6 +9,12 @@ from symhom.lie import (CECoalgebra, DGLie, abelian_lie, ce_complex,
 from symhom.rationals import QQ, ZERO
 
 
+def even_letters():
+    """[u, u] = v with u odd: both suspended letters are even, so wedge
+    words repeat letters (u^u, u^u^v, ...)."""
+    return DGLie(["u", "v"], [1, 2], {(0, 0): {1: 1}})
+
+
 def test_builtins_validate():
     for a in (sl2(), heisenberg(), abelian_lie(3), nonabelian_2dim()):
         a.validate()
@@ -19,6 +25,16 @@ def test_jacobi_violation_rejected():
     with pytest.raises(ValueError):
         DGLie(["x", "y", "z"], [0, 0, 0],
               {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("names, hdegs", [
+    (["x", "y"], [0, -1]),
+    (["x"], [0.5]),
+    (["x", "x"], [0, 0]),
+])
+def test_bad_degree_and_repeated_name_rejected(names, hdegs):
+    with pytest.raises(ValueError):
+        DGLie(names, hdegs)
 
 
 def test_inhomogeneous_bracket_rejected():
@@ -47,7 +63,8 @@ def test_ce_wedge_dimensions():
 
 
 def test_ce_d_squared_all_builtins():
-    for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2)):
+    for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2),
+              even_letters(), direct_sum(sl2(), even_letters())):
         assert CECoalgebra(a, 5).check_d_squared()
 
 
@@ -76,7 +93,8 @@ def test_ce_homology_nonabelian_2dim():
 
 
 def test_reduced_coproduct_coassociativity():
-    for a in (sl2(), nonabelian_2dim()):
+    for a in (sl2(), nonabelian_2dim(), even_letters(),
+              direct_sum(sl2(), even_letters())):
         C = CECoalgebra(a, 4)
         for h in range(1, 4):
             for word in C.words_of_hdeg(h):
@@ -120,12 +138,25 @@ def test_cobar_matches_closed_form_at_every_cap():
     # past the caps; a cap sweep catches any entry that misses them
     algebras = [sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2),
                 direct_sum(sl2(), heisenberg()),
-                direct_sum(nonabelian_2dim(), abelian_lie(1))]
+                direct_sum(nonabelian_2dim(), abelian_lie(1)),
+                even_letters(), direct_sum(sl2(), even_letters())]
     for a in algebras:
         for d in range(4):
             for w in range(6):
                 assert hs_env_via_cobar(a, d, w) == \
                     hs_env_closed_form(a, d, w), (a.names, d, w)
+
+
+def test_sl2_scalars_are_ints():
+    # a silent fall-back to Fraction arithmetic fails here
+    a = sl2()
+    C = ce_complex(a, 6)
+    omega = cobar(C, 4, 6)
+    vectors = list(a.bracket.values())
+    vectors += [C.diff(w) for h in range(4) for w in C.words_of_hdeg(h)]
+    vectors += list(omega.differential.values())
+    assert len(omega.differential) == 4
+    assert all(type(c) is int for vec in vectors for c in vec.values())
 
 
 def test_sl2_cobar_table_entries():

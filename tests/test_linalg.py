@@ -337,6 +337,8 @@ def test_pivots_that_force_fractions():
     assert q.basis == ["c"]
     # a + c = 0 and b = c in the quotient
     assert q.project({"a": 1}) == {"c": -1}
+    # the row reduced by 3/2 holds Fractions; the coordinate comes out int
+    assert type(q.project({"a": 1})["c"]) is int
     assert q.project({"b": 1}) == {"c": 1}
     assert q.project({"a": 1, "b": 1}) == {}
     # a relation whose first pivot divides nothing: 3/2, -1/2

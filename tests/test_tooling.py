@@ -21,7 +21,8 @@ from symhom.bar import hr_via_bar
 from symhom.commalg import abelianize
 from symhom.findim import dual_numbers_algebra
 from symhom.freealg import dual_numbers_resolution
-from symhom.lie import ce_homology, sl2
+from symhom.lie import (ce_homology, hs_env_closed_form, hs_env_via_cobar,
+                        sl2)
 from symhom.repfun import hr_n
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -89,8 +90,10 @@ def test_every_import_is_used_and_every_export_resolves():
     lambda: abelianize(dual_numbers_resolution(5)).homology_table(4, 6),
     lambda: hr_n(dual_numbers_resolution(4), 2, 2, 3),
     lambda: ce_homology(sl2(), 3),
+    lambda: hs_env_via_cobar(sl2(), 3, 4),
+    lambda: hs_env_closed_form(sl2(), 3, 4),
 ], ids=["hr_via_bar-n1", "hr_via_bar-n2", "homology_table", "hr_n",
-        "ce_homology"])
+        "ce_homology", "hs_env_via_cobar", "hs_env_closed_form"])
 def test_table_computations_leave_no_reference_cycle(job):
     gc.collect()
     gc.disable()
