@@ -5,7 +5,8 @@ BUILTINS, KINDS and PIPELINES below are the one place that knows the
 inputs and the routes.  An input is a built-in name (size argument as in
 poly:3) or a JSON file, sniffed by its keys when no pipeline names its
 kind: "generators" -> DG resolution, "mult" -> structure-constant
-algebra, otherwise a Lie algebra.
+algebra, otherwise a Lie algebra.  hr is hs --pipeline dg, and --n
+(coefficients in k^n) is read by dg and bar and refused by the Lie routes.
 """
 
 import argparse
@@ -62,10 +63,10 @@ KINDS = {
     "lie": ("cobar", DGLie.from_json, None),
 }
 
-# pipeline -> (kind it reads, table(input, deg_cap, weight_cap, n))
+# pipeline -> (kind it reads, table(input, deg_cap, weight_cap, n)); a Lie
+# route has no k^n form.  rep_n(R, 1) is the abelianization of R.
 PIPELINES = {
-    "dg": ("resolution",
-           lambda R, d, w, n: abelianize(R).homology_table(d, w)),
+    "dg": ("resolution", lambda R, d, w, n: hr_n(R, n, d, w)),
     "bar": ("algebra", lambda A, d, w, n: hr_via_bar(A, d, w, n=n)),
     "cobar": ("lie", lambda a, d, w, n: hs_env_via_cobar(a, d, w)),
     "closed-form": ("lie", lambda a, d, w, n: hs_env_closed_form(a, d, w)),
@@ -169,8 +170,9 @@ def _at_least(low):
 
 # Raised whenever a fix changes some computed table, so that no entry
 # cached before the fix is served.  2: cobar generators kept past the caps.
-# 3: the algebra form of poly:N is k[x_1..x_N], not k[x].
-ALGORITHM_VERSION = 3
+# 3: the algebra form of poly:N is k[x_1..x_N], not k[x].  4: hs --pipeline
+# dg reads --n (it served the n = 1 table for every n).
+ALGORITHM_VERSION = 4
 
 
 def _digest(job):
@@ -245,17 +247,20 @@ def _emit_scalar(value, fmt):
 # pipelines --------------------------------------------------------------
 
 def _hs_table(args):
-    """The hs table, cached under the pipeline that runs: an input's
-    default pipeline and the same pipeline named by --pipeline share one
-    entry."""
+    """The hs (or hr) table, cached under the pipeline that runs: an
+    input's default pipeline and the same pipeline named by --pipeline
+    share one entry, and so do hr and hs --pipeline dg."""
     input_job = _input_job(args.input)
     pipeline = args.pipeline or KINDS[_default_kind(args.input)][0]
+    kind, route = PIPELINES[pipeline]
+    if kind == "lie" and args.n != 1:
+        raise ValueError("--n %d: the %s pipeline has no k^n form"
+                         % (args.n, pipeline))
     job = {"cmd": "hs", **input_job, "pipeline": pipeline,
            "deg_cap": args.deg_cap, "weight_cap": args.weight_cap,
            "n": args.n}
 
     def compute():
-        kind, route = PIPELINES[pipeline]
         _, value = load(args.input, kind, args.deg_cap, args.weight_cap)
         return route(value, args.deg_cap, args.weight_cap, args.n)
 
@@ -264,18 +269,6 @@ def _hs_table(args):
 
 def cmd_hs(args):
     _emit_table(_hs_table(args), args.format)
-    return 0
-
-
-def cmd_hr(args):
-    job = {"cmd": "hr", **_input_job(args.input), "deg_cap": args.deg_cap,
-           "weight_cap": args.weight_cap, "n": args.n}
-
-    def compute():
-        _, R = load(args.input, "resolution", args.deg_cap, args.weight_cap)
-        return hr_n(R, args.n, args.deg_cap, args.weight_cap)
-
-    _emit_table(_cached_table(args, job, compute), args.format)
     return 0
 
 
@@ -318,8 +311,8 @@ def cmd_compare(args):
     parser = build_parser()
     subs = [parser.parse_args(shlex.split(spec))
             for spec in (args.left, args.right)]
-    if any(sub.command != "hs" for sub in subs):
-        raise ValueError("compare expects two hs job specs")
+    if any(sub.func is not cmd_hs for sub in subs):
+        raise ValueError("compare expects two hs or hr job specs")
     left, right = (_hs_table(sub) for sub in subs)
     caps = (min(left.deg_cap, right.deg_cap),
             min(left.weight_cap, right.weight_cap))
@@ -364,28 +357,30 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, cached=True):
-        """--format, and for the cached table commands (hs, hr) the caps
-        and --cache-dir."""
+        """--format, and for the cached table commands (hs, hr, both run
+        by cmd_hs) --n, the caps and --cache-dir."""
         sp.add_argument("--format", choices=["human", "json", "csv"],
                         default="human")
         if cached:
+            sp.add_argument("--n", type=_at_least(1), default=1,
+                            help="coefficients in k^n: rep_n on dg, n x n "
+                                 "matrices on bar; cobar and closed-form "
+                                 "take only 1")
             sp.add_argument("--deg-cap", type=_at_least(0), default=4)
             sp.add_argument("--weight-cap", type=_at_least(0), default=6)
             sp.add_argument("--cache-dir", default=None)
+            sp.set_defaults(func=cmd_hs)
 
     sp = sub.add_parser("hs", help="symmetric homology Betti table")
     sp.add_argument("input", type=_input_name)
     sp.add_argument("--pipeline", choices=list(PIPELINES))
-    sp.add_argument("--n", type=int, default=1,
-                    help="matrix size for the bar pipeline")
     common(sp)
-    sp.set_defaults(func=cmd_hs)
 
-    sp = sub.add_parser("hr", help="representation homology of a resolution")
+    sp = sub.add_parser("hr", help="representation homology of a "
+                                   "resolution: hs --pipeline dg")
     sp.add_argument("input", type=_input_name)
-    sp.add_argument("--n", type=int, default=1)
     common(sp)
-    sp.set_defaults(func=cmd_hr)
+    sp.set_defaults(pipeline="dg")
 
     for name, fn in (("hs0", cmd_hs0), ("hc0", cmd_hc0)):
         sp = sub.add_parser(name, help="degree-0 coequalizer dimension")
@@ -406,7 +401,7 @@ def build_parser():
     sp.add_argument("args", nargs="+")
     sp.set_defaults(func=cmd_deltas)
 
-    sp = sub.add_parser("compare", help="entrywise diff of two hs runs")
+    sp = sub.add_parser("compare", help="entrywise diff of two hs or hr runs")
     sp.add_argument("left")
     sp.add_argument("right")
     sp.set_defaults(func=cmd_compare)

@@ -12,7 +12,6 @@ vector in the package.
 from dataclasses import dataclass, field
 
 from .linalg import QuotientSpace, SparseMatrix, add_term
-from .rationals import QQ
 
 __all__ = [
     "DeltaSMorphism", "ArityMismatchError", "identity", "compose",
@@ -349,8 +348,7 @@ def _coequalizer_generators(arity_cap, cyclic):
             for i in range(n):
                 yield n, transposition(n, i)
             for i in range(n):
-                if n >= 1:
-                    yield n, multiply_map(n, i)
+                yield n, multiply_map(n, i)
             if n + 1 <= ncap:
                 for i in range(n + 2):
                     yield n, face_embedding(n + 1, i)
@@ -364,8 +362,8 @@ def _coequalizer_space(A, arity_cap, cyclic):
     for n, f in _coequalizer_generators(arity_cap, cyclic):
         m = f.target_n
         for w in _all_words(A.dim, n + 1):
-            rel = {(n, w): QQ(1)}
-            for iw, c in b_sym_action(A, f, {w: QQ(1)}).items():
+            rel = {(n, w): 1}
+            for iw, c in b_sym_action(A, f, {w: 1}).items():
                 add_term(rel, (m, iw), -c)
             if rel:
                 relations.append(rel)

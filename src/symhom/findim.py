@@ -39,6 +39,9 @@ class FinDimAlgebra:
         if weights is not None:
             self.weights = [0] * len(self.basis)
             for b, w in weights.items():
+                if type(w) is not int or w < 0:
+                    raise ValueError("weight of %s must be an integer >= 0, "
+                                     "got %r" % (b, w))
                 self.weights[self.index[b]] = w
         self.augmentation = None
         if augmentation is not None:

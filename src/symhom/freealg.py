@@ -25,10 +25,11 @@ class GeneratorSpec:
     weight: int
 
     def __post_init__(self):
-        if self.hdeg < 0:
-            raise ValueError("hdeg must be nonnegative: %s" % self.name)
-        if self.weight < 1:
-            raise ValueError("weight must be positive: %s" % self.name)
+        for attr, value, low in (("hdeg", self.hdeg, 0),
+                                 ("weight", self.weight, 1)):
+            if type(value) is not int or value < low:
+                raise ValueError("%s of %s must be an integer >= %d, got %r"
+                                 % (attr, self.name, low, value))
 
 
 class FreeDGAlgebra:

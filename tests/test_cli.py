@@ -138,6 +138,40 @@ def test_compare_poly_bar_and_cobar_agree(capsys):
     assert "agree" in out
 
 
+def test_dg_hr_and_bar_print_one_k2_table(capsys):
+    # hr is hs --pipeline dg, and both routes read --n
+    caps = ("--n", "2", "--deg-cap", "2", "--weight-cap", "4",
+            "--format", "json")
+    outs = set()
+    for argv in (["hs", "dual-numbers"], ["hr", "dual-numbers"],
+                 ["hs", "dual-numbers", "--pipeline", "bar"]):
+        code, out, _ = run(capsys, *argv, *caps)
+        assert code == 0
+        outs.add(out)
+    (out,) = outs
+    assert BettiTable.from_json(out).get(0, 1) == 4  # the x_ab, a, b <= 2
+
+
+@pytest.mark.parametrize("left", ["hs dual-numbers", "hr dual-numbers"])
+def test_compare_dg_or_hr_and_bar_agree_at_n_2(capsys, left):
+    caps = " --n 2 --deg-cap 2 --weight-cap 4"
+    code, out, _ = run(capsys, "compare", left + caps,
+                       "hs dual-numbers --pipeline bar" + caps)
+    assert code == 0
+    assert "agree" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["hs", "sl2", "--n", "2"],
+    ["hs", "sl2", "--pipeline", "closed-form", "--n", "3"],
+])
+def test_lie_pipeline_refuses_n_other_than_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no k^n form" in err
+
+
 def test_cache_round_trip(tmp_path, capsys):
     args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
             "--weight-cap", "4", "--format", "json",
@@ -235,8 +269,8 @@ def test_builtin_cache_job_names_only_the_input(tmp_path, capsys):
         "--cache-dir", str(tmp_path))
     (entry,) = tmp_path.iterdir()
     assert json.loads(entry.read_text())["job"] == {
-        "cmd": "hr", "input": "free:1", "deg_cap": 1, "weight_cap": 2,
-        "n": 1}
+        "cmd": "hs", "input": "free:1", "pipeline": "dg", "deg_cap": 1,
+        "weight_cap": 2, "n": 1}
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,6 +294,13 @@ def test_option_a_command_does_not_read_exits_2(capsys, argv):
     ("cobar", '{"basis": [{"name": "x", "hdeg": -1}]}'),
     (None, '{"mult": '),
     (None, '[1, 2]'),
+    # a grading must be integral: no generator or basis element dropped
+    (None, '{"generators": [{"name": "x", "hdeg": 0, "weight": 1}, '
+           '{"name": "t", "hdeg": 0.5, "weight": 2}]}'),
+    ("bar", '{"basis": ["1", "x"], "unit": {"1": "1"}, "mult": '
+            '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
+            '["x", "1", {"x": "1"}]], "weights": {"1": 0, "x": 1.5}, '
+            '"augmentation": {"1": "1", "x": "0"}}'),
 ])
 def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
                                             text):
@@ -319,6 +360,24 @@ def test_entry_cached_under_the_old_key_is_not_served(tmp_path, capsys):
     assert code1 == code2 == 0 and out == fresh
 
 
+def test_dg_entry_of_version_3_is_not_served(tmp_path, capsys):
+    args = ("hs", "dual-numbers", "--pipeline", "dg", "--n", "2",
+            "--deg-cap", "2", "--weight-cap", "4", "--format", "json")
+    code1, fresh, _ = run(capsys, *args, "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    record = json.loads(entry.read_text())
+    entry.unlink()
+    # algorithm version 3 cached the n = 1 table for every --n of dg
+    _, stale, _ = run(capsys, *args[:4], *args[6:])
+    record["result"] = json.loads(stale)
+    assert record["result"] != json.loads(fresh)
+    old_key = hashlib.sha256((json.dumps(record["job"], sort_keys=True)
+                              + "|" + __version__ + "|3").encode()).hexdigest()
+    (tmp_path / (old_key + ".json")).write_text(json.dumps(record))
+    code2, out, _ = run(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code1 == code2 == 0 and out == fresh
+
+
 @pytest.mark.parametrize("argv", [
     ["hs", "dual-numbers", "--pipeline", "bar", "--deg-cap", "-2"],
     ["hs", "dual-numbers", "--weight-cap", "-1"],
@@ -326,6 +385,8 @@ def test_entry_cached_under_the_old_key_is_not_served(tmp_path, capsys):
     ["hs", "poly:-1", "--deg-cap", "1", "--weight-cap", "2"],
     ["hs", "free:0", "--pipeline", "bar"],
     ["hs", "no-such-input"],
+    ["hs", "dual-numbers", "--n", "0"],
+    ["hr", "free:1", "--n", "-1"],
 ])
 def test_out_of_range_value_exits_2_with_one_error_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -376,7 +437,7 @@ def test_json_path_with_a_colon_is_a_path(tmp_path, capsys, monkeypatch):
     ["hs", "no-such-input"],
     ["hs", "sl2", "--pipeline", "bar"],
     ["hs", "m2", "--pipeline", "dg"],
-    ["compare", "hr dual-numbers", "hs sl2"],
+    ["compare", "hs0 m2", "hs sl2"],
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     try:

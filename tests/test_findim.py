@@ -54,6 +54,14 @@ def test_non_homogeneous_weights_rejected():
             weights={"1": 0, "x": 1})
 
 
+@pytest.mark.parametrize("weight", [1.5, True, -1])
+def test_weight_must_be_an_int_at_least_0(weight):
+    with pytest.raises(ValueError, match="integer"):
+        FinDimAlgebra(["1", "x"], {"1": 1},
+                      {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                      weights={"1": 0, "x": weight})
+
+
 def test_dual_numbers_products():
     A = dual_numbers_algebra()
     x = A.index["x"]

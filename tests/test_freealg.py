@@ -25,6 +25,10 @@ def test_generator_spec_validation():
         GeneratorSpec("bad", -1, 1)
     with pytest.raises(ValueError):
         GeneratorSpec("bad", 0, 0)
+    # a grading is an int, and a bool is none, as in DGLie
+    for hdeg, weight in ((0.5, 1), (True, 1), (0, 2.0), (0, True)):
+        with pytest.raises(ValueError, match="integer"):
+            GeneratorSpec("bad", hdeg, weight)
 
 
 def test_duplicate_generator_names_rejected():

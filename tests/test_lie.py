@@ -15,6 +15,15 @@ def even_letters():
     return DGLie(["u", "v"], [1, 2], {(0, 0): {1: 1}})
 
 
+def odd_first():
+    """[x, u] = u, [x, v] = 2v, [u, u] = v with the odd-degree letters
+    listed first, so a contracted pair can open with an even suspended
+    letter: the one Lie algebra here whose CE d^2 = 0 needs the sign of
+    that case."""
+    return DGLie(["v", "u", "x"], [2, 1, 0],
+                 {(2, 1): {1: 1}, (2, 0): {0: 2}, (1, 1): {0: 1}})
+
+
 def test_builtins_validate():
     for a in (sl2(), heisenberg(), abelian_lie(3), nonabelian_2dim()):
         a.validate()
@@ -64,7 +73,8 @@ def test_ce_wedge_dimensions():
 
 def test_ce_d_squared_all_builtins():
     for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2),
-              even_letters(), direct_sum(sl2(), even_letters())):
+              even_letters(), direct_sum(sl2(), even_letters()),
+              odd_first()):
         assert CECoalgebra(a, 5).check_d_squared()
 
 
@@ -139,7 +149,8 @@ def test_cobar_matches_closed_form_at_every_cap():
     algebras = [sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2),
                 direct_sum(sl2(), heisenberg()),
                 direct_sum(nonabelian_2dim(), abelian_lie(1)),
-                even_letters(), direct_sum(sl2(), even_letters())]
+                even_letters(), direct_sum(sl2(), even_letters()),
+                odd_first()]
     for a in algebras:
         for d in range(4):
             for w in range(6):

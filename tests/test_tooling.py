@@ -1,6 +1,7 @@
 """Names that live outside the package must keep resolving: the
 benchmark's tracer wraps symhom calls by name (a rename would silently
-drop spans from its metrics), and the README lists the CLI built-ins.
+drop spans from its metrics), the README lists the CLI built-ins, and
+its CLI block holds commands the parser accepts.
 Inside the package, every import is used and every export exists, and a
 table computation leaves no reference cycle behind: a cycle would keep
 its per-call caches alive until the cyclic collector runs."""
@@ -12,6 +13,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 
 import pytest
 
@@ -54,6 +56,36 @@ def readme_builtins(path=README):
 
 def test_readme_names_every_builtin():
     assert readme_builtins() == set(cli.BUILTINS)
+
+
+def readme_cli_lines(path=README):
+    """The symhom commands of the README's CLI block, with the backslash
+    continuations joined."""
+    with open(path) as fh:
+        block = re.search(r"## CLI\s+```sh\n(.*?)```", fh.read(), re.S)
+    return [line for line in block.group(1).replace("\\\n", " ").splitlines()
+            if line.startswith("symhom ")]
+
+
+def parses(argv):
+    """The namespace cli.build_parser() makes of argv, None if it exits."""
+    try:
+        return cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def test_every_readme_cli_line_parses():
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    bad = []
+    for line in lines:
+        args = parses(shlex.split(line)[1:])
+        specs = ([args.left, args.right]
+                 if args is not None and args.command == "compare" else [])
+        if args is None or None in [parses(shlex.split(s)) for s in specs]:
+            bad.append(line)
+    assert bad == []
 
 
 def unused_imports(tree, exported):
