@@ -18,6 +18,8 @@ monomial is the n = 1 decoration, all indices 0.  The decorated basis of
 each (level, weight) block is built once per hr_via_bar call.
 """
 
+from itertools import combinations_with_replacement, groupby, product
+
 from .betti import BettiTable
 from .linalg import SparseMatrix, add_term, exact, homology_by_blocks
 
@@ -173,19 +175,21 @@ def _multiply_innermost(A, tree, depth, unit_index):
 
 
 def _decorate(monos, n):
-    """All decorations of plain monomials by index pairs, sorted.
+    """All decorations of sorted plain monomials by index pairs, sorted.
 
     A decorated factor is (tree, a, b) with 0 <= a, b < n, an entry of a
-    generic n x n matrix; a plain monomial is the n = 1 decoration."""
+    generic n x n matrix; a plain monomial is the n = 1 decoration.  The
+    factors commute, so a run of m equal trees takes a multiset of m index
+    pairs, and each decorated monomial is made once."""
+    pairs = [(a, b) for a in range(n) for b in range(n)]
     out = []
     for mono in monos:
-        stack = [()]
-        for t in mono:
-            stack = [acc + ((t, a, b),)
-                     for acc in stack
-                     for a in range(n) for b in range(n)]
-        out.extend(tuple(sorted(acc)) for acc in stack)
-    return sorted(set(out))
+        runs = [[tuple((t,) + ab for ab in multiset) for multiset in
+                 combinations_with_replacement(pairs, len(list(run)))]
+                for t, run in groupby(mono)]
+        out.extend(sum(parts, ()) for parts in product(*runs))
+    out.sort()
+    return out
 
 
 def _face(A, nlev, i, mono, unit_index, n):

@@ -64,7 +64,8 @@ KINDS = {
 }
 
 # pipeline -> (kind it reads, table(input, deg_cap, weight_cap, n)); a Lie
-# route has no k^n form.  rep_n(R, 1) is the abelianization of R.
+# route has no k^n form.  rep_n(R, 1) is abelianize(R), each generator g
+# renamed g:11, so dg at n = 1 is the abelianization's table.
 PIPELINES = {
     "dg": ("resolution", lambda R, d, w, n: hr_n(R, n, d, w)),
     "bar": ("algebra", lambda A, d, w, n: hr_via_bar(A, d, w, n=n)),
@@ -89,46 +90,61 @@ def _builtin(name):
     return BUILTINS[head], size
 
 
-def _default_kind(name):
-    """The kind an input is read as when no pipeline names one: a
-    built-in's first kind, or the kind a JSON file's keys mark."""
+def _read(name):
+    """The source of an input: (factories, size, None) of a built-in, or
+    (None, None, bytes) of a JSON file.  A job reads its file once, so
+    that its cache hash, its kind and its parse see the same bytes."""
     builtin = _builtin(name)
     if builtin is not None:
-        return next(iter(builtin[0]))
-    data = _parse_input(name, json.loads, "JSON")
+        return builtin + (None,)
+    try:
+        with open(name, "rb") as fh:
+            return None, None, fh.read()
+    except OSError as exc:
+        raise ValueError("input %s cannot be read: %s" % (name, exc)) from None
+
+
+def _default_kind(name, source):
+    """The kind an input is read as when no pipeline names one: a
+    built-in's first kind, or the kind a JSON file's keys mark."""
+    factories, _, data = source
+    if factories is not None:
+        return next(iter(factories))
+    data = _parse_input(name, data, json.loads, "JSON")
     if not isinstance(data, dict):
         raise ValueError("JSON input %s is not an object" % name)
     return next(k for k, (_, _, key) in KINDS.items()
                 if key is None or key in data)
 
 
+def _build(name, source, kind, deg_cap, weight_cap):
+    """The input of the given kind that a source makes."""
+    factories, size, data = source
+    if factories is None:
+        return _parse_input(name, data, KINDS[kind][1], kind)
+    if kind not in factories:
+        raise ValueError("built-in %s has no %s form (it has: %s)"
+                         % (name, kind, ", ".join(factories)))
+    return factories[kind](size, deg_cap, weight_cap)
+
+
 def load(name, kind=None, deg_cap=None, weight_cap=None):
     """(kind, input) for a built-in name or a JSON path.
 
-    kind None means _default_kind(name).  Raises ValueError when a
+    kind None means the input's default kind.  Raises ValueError when a
     built-in has no such kind or the file does not parse as one.
     """
-    kind = kind or _default_kind(name)
-    builtin = _builtin(name)
-    if builtin is not None:
-        factories, size = builtin
-        if kind not in factories:
-            raise ValueError("built-in %s has no %s form (it has: %s)"
-                             % (name, kind, ", ".join(factories)))
-        return kind, factories[kind](size, deg_cap, weight_cap)
-    return kind, _parse_input(name, KINDS[kind][1], kind)
+    source = _read(name)
+    kind = kind or _default_kind(name, source)
+    return kind, _build(name, source, kind, deg_cap, weight_cap)
 
 
-def _parse_input(path, parse, kind):
-    """parse(text of the file at path); an unreadable file, malformed
-    JSON, a missing key, a value of the wrong shape or an input the
-    constructor rejects becomes a ValueError that names the file."""
+def _parse_input(path, data, parse, kind):
+    """parse(data), the text of the file at path; malformed JSON, a
+    missing key, a value of the wrong shape or an input the constructor
+    rejects becomes a ValueError that names the file."""
     try:
-        with open(path) as fh:
-            return parse(fh.read())
-    except OSError as exc:
-        raise ValueError("%s input %s cannot be read: %s"
-                         % (kind, path, exc)) from None
+        return parse(data.decode())
     except json.JSONDecodeError as exc:
         raise ValueError("%s input %s is not valid JSON: %s"
                          % (kind, path, exc)) from None
@@ -179,20 +195,6 @@ def _digest(job):
     payload = "%s|%s|%d" % (json.dumps(job, sort_keys=True), __version__,
                             ALGORITHM_VERSION)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _input_job(name):
-    """The cache job entries of an input: a built-in is keyed by its name,
-    a JSON file by its path and the SHA-256 of its bytes, so that a
-    rewritten file is not served the table of its old contents."""
-    if _builtin(name) is not None:
-        return {"input": name}
-    try:
-        with open(name, "rb") as fh:
-            return {"input": name,
-                    "sha256": hashlib.sha256(fh.read()).hexdigest()}
-    except OSError as exc:
-        raise ValueError("input %s cannot be read: %s" % (name, exc)) from None
 
 
 def _cached_table(args, job, compute):
@@ -250,18 +252,24 @@ def _hs_table(args):
     """The hs (or hr) table, cached under the pipeline that runs: an
     input's default pipeline and the same pipeline named by --pipeline
     share one entry, and so do hr and hs --pipeline dg."""
-    input_job = _input_job(args.input)
-    pipeline = args.pipeline or KINDS[_default_kind(args.input)][0]
+    source = _read(args.input)
+    pipeline = args.pipeline or KINDS[_default_kind(args.input, source)][0]
     kind, route = PIPELINES[pipeline]
     if kind == "lie" and args.n != 1:
         raise ValueError("--n %d: the %s pipeline has no k^n form"
                          % (args.n, pipeline))
-    job = {"cmd": "hs", **input_job, "pipeline": pipeline,
+    job = {"cmd": "hs", "input": args.input, "pipeline": pipeline,
            "deg_cap": args.deg_cap, "weight_cap": args.weight_cap,
            "n": args.n}
+    data = source[2]
+    if data is not None:
+        # a JSON file is keyed by its bytes too, so that a rewritten file
+        # is not served the table of its old contents
+        job["sha256"] = hashlib.sha256(data).hexdigest()
 
     def compute():
-        _, value = load(args.input, kind, args.deg_cap, args.weight_cap)
+        value = _build(args.input, source, kind, args.deg_cap,
+                       args.weight_cap)
         return route(value, args.deg_cap, args.weight_cap, args.n)
 
     return _cached_table(args, job, compute)

@@ -86,21 +86,6 @@ class CommDGAlgebra:
     def mono_weight(self, mono):
         return sum(self.generators[i].weight for i in mono)
 
-    def mul(self, p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                sign, m = sort_word(m1 + m2, self.parities)
-                if not sign:
-                    continue
-                c = c1 * c2 * sign
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return out
-
     def d(self, p):
         """Derivation differential of a polynomial.
 

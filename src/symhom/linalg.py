@@ -94,8 +94,8 @@ def add_term(acc, key, c):
 
     The type of c is kept for a new key, so int counts stay ints.  The
     inner loops of eliminate, QuotientSpace.project, SparseMatrix.matmul
-    and CommDGAlgebra.d/mul spell this step out inline: a call per term
-    there is a measurable share of their time.
+    and CommDGAlgebra.d spell this step out inline: a call per term there
+    is a measurable share of their time.
     """
     if key in acc:
         s = acc[key] + c

@@ -1,72 +1,59 @@
 """The n-dimensional representation functor on semi-free DG algebras,
 cyclic-word quotient complexes, and the trace chain map between them.
 
-rep_n replaces every generator by a generic n x n matrix of commuting
-generators; the differential is evaluated entrywise through matrix
-products in the graded-commutative target (Koszul signs come out of the
-word order automatically).  The cyclic quotient is spanned by necklaces:
+rep_n(R) is the abelianization of the matrix reduction R_n of [BKR]: the
+free DG algebra on the entries g:ab of a generic n x n matrix per
+generator g of R, whose d(g:ab) is the (a, b) entry of d(g) evaluated on
+those matrices, one word of entry names per term of d(g) and index path
+a = c_0, ..., c_k = b.  The cyclic quotient is spanned by necklaces:
 words up to rotation with the Koszul rotation sign, a class vanishing
 when some rotation fixes the word with sign -1.
 """
 
-from .commalg import CommDGAlgebra
-from .freealg import GeneratorSpec
+from itertools import product
+
+from .commalg import abelianize, sort_word
+from .freealg import FreeDGAlgebra, GeneratorSpec
 from .linalg import SparseMatrix, add_term
 
-__all__ = ["rep_n", "CyclicQuotientComplex", "cyclic_quotient",
-           "trace_chain_map", "hr_n"]
+__all__ = ["rep_n", "CyclicQuotientComplex", "trace_chain_map", "hr_n"]
 
 
-def _entry_name(gname, a, b):
-    return "%s:%d%d" % (gname, a + 1, b + 1)
+def _entry_name(gname, a, b, n):
+    """Name of the (a, b) entry of g's n x n matrix; both indices are
+    padded to the width of n, so that no two entries share a name."""
+    width = len(str(n))
+    return "%s:%0*d%0*d" % (gname, width, a + 1, width, b + 1)
 
 
-def _matrix_of_word(S, n, word):
-    """Entries of the product of the generic n x n matrices of a word's
-    letters, in rep_n's algebra S: dict (a, b) -> polynomial."""
-    mat = {(a, b): ({(): 1} if a == b else {})
-           for a in range(n) for b in range(n)}
-    for gname in word:
-        nxt = {}
-        for a in range(n):
-            for b in range(n):
-                acc = {}
-                for c in range(n):
-                    left = mat[(a, c)]
-                    if left:
-                        gen = {(S.index[_entry_name(gname, c, b)],): 1}
-                        for m, v in S.mul(left, gen).items():
-                            add_term(acc, m, v)
-                nxt[(a, b)] = acc
-        mat = nxt
-    return mat
+def _entry_words(word, n, a, b):
+    """The (a, b) entry of the product of the generic matrices of a word's
+    letters: one word of entry names per index path a = c_0, ..., c_k = b
+    (the empty word is the identity matrix)."""
+    if not word:
+        return [()] if a == b else []
+    paths = ((a,) + inner + (b,)
+             for inner in product(range(n), repeat=len(word) - 1))
+    return [tuple(_entry_name(g, c[i], c[i + 1], n)
+                  for i, g in enumerate(word)) for c in paths]
 
 
 def rep_n(R, n):
-    """Matrix-entry model of R: n^2 commuting generators per generator."""
+    """rep_n(R): the abelianized matrix reduction, n^2 generators g:ab per
+    generator g of R."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = []
-    for g in R.generators:
-        for a in range(n):
-            for b in range(n):
-                gens.append(GeneratorSpec(_entry_name(g.name, a, b),
-                                          g.hdeg, g.weight))
-    S = CommDGAlgebra(gens)  # bare algebra first, for index/parity tables
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    gens = [GeneratorSpec(_entry_name(g.name, a, b, n), g.hdeg, g.weight)
+            for g in R.generators for a, b in pairs]
     diff = {}
-    for g in R.generators:
-        dg = R.differential.get(g.name)
-        if dg is None:
-            continue
-        entry_polys = {(a, b): {} for a in range(n) for b in range(n)}
-        for word, coeff in dg.items():
-            for ab, poly in _matrix_of_word(S, n, word).items():
-                for m, c in poly.items():
-                    add_term(entry_polys[ab], m, c * coeff)
-        for (a, b), poly in entry_polys.items():
-            if poly:
-                diff[_entry_name(g.name, a, b)] = poly
-    return CommDGAlgebra(gens, diff)
+    for name, dg in R.differential.items():
+        for a, b in pairs:
+            # distinct (term, path) pairs give distinct words
+            diff[_entry_name(name, a, b, n)] = {
+                entry: c for word, c in dg.items()
+                for entry in _entry_words(word, n, a, b)}
+    return abelianize(FreeDGAlgebra(gens, diff))
 
 
 def _necklace(R, word):
@@ -147,26 +134,25 @@ class CyclicQuotientComplex:
             lambda word: self.project(self.R.d({word: 1})))
 
 
-def cyclic_quotient(R):
-    return CyclicQuotientComplex(R)
-
-
 def trace_chain_map(R, n, deg_cap, weight_cap):
     """Blockwise matrices of the trace map R/[R,R] -> rep_n(R).
 
     A necklace g1...gk goes to the trace of the product of the generic
-    matrices of its letters.  Returns (cyclic complex, rep algebra,
-    dict (h, w) -> SparseMatrix on the block bases).
+    matrices of its letters, its closed-path words sorted into monomials.
+    Returns (cyclic complex, rep algebra, dict (h, w) -> SparseMatrix on
+    the block bases).
     """
     cyc = CyclicQuotientComplex(R)
     S = rep_n(R, n)
 
     def trace(word):
-        mat = _matrix_of_word(S, n, word)
         out = {}
         for a in range(n):
-            for m, v in mat[(a, a)].items():
-                add_term(out, m, v)
+            for entry in _entry_words(word, n, a, a):
+                sign, mono = sort_word([S.index[e] for e in entry],
+                                       S.parities)
+                if sign:
+                    add_term(out, mono, sign)
         return out
 
     blocks = {(h, w): SparseMatrix.from_images(cyc.basis(h, w),

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from symhom.bar import (CapOverflowError, bar_level_basis, face_map,
-                        hr_via_bar)
+from symhom.bar import (CapOverflowError, _decorate, bar_level_basis,
+                        face_map, hr_via_bar)
 from symhom.commalg import abelianize
 from symhom.deltas import abelianization_quotient
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
@@ -172,3 +172,26 @@ def test_matrix_variant_on_poly_algebra():
     A = truncated_poly_algebra(3)
     table = hr_via_bar(A, 2, 3, n=2)
     assert table.degree_totals() == [35, 0, 0]
+
+
+def _ordered_decorations(monos, n):
+    """The decorated basis by its old definition: every ordered
+    decoration of each factor by an index pair, sorted and deduplicated."""
+    pairs = list(itertools.product(range(n), repeat=2))
+    return sorted({tuple(sorted((t,) + ab for t, ab in zip(mono, choice)))
+                   for mono in monos
+                   for choice in itertools.product(pairs, repeat=len(mono))})
+
+
+@pytest.mark.parametrize("A, levels, weight_cap", [
+    (dual_numbers_algebra(), 3, 4),
+    (free_tensor_algebra(2, 3), 2, 3),
+    (truncated_poly_algebra(3, 2), 2, 3),
+], ids=["dual-numbers", "free:2", "poly:2"])
+def test_decorated_basis_is_the_set_of_ordered_decorations(A, levels,
+                                                            weight_cap):
+    for n in (2, 3):
+        for lev in range(levels):
+            monos = bar_level_basis(A, lev, weight_cap)
+            assert _decorate(monos, n) == _ordered_decorations(monos, n), \
+                (n, lev)

@@ -264,6 +264,33 @@ def test_rewritten_json_input_is_not_served_its_old_entry(tmp_path, capsys):
         for a in (dual_numbers_algebra(), truncated_poly_algebra(3)))
 
 
+@pytest.mark.parametrize("pipeline", [[], ["--pipeline", "dg"]],
+                         ids=["sniffed", "named"])
+def test_a_json_input_is_opened_once_per_job(tmp_path, capsys, monkeypatch,
+                                             pipeline):
+    # its cache hash, its sniffed kind and its parse see the same bytes, so
+    # a file rewritten mid-job cannot be cached under its old hash
+    path = tmp_path / "res.json"
+    path.write_text(dual_numbers_resolution(3).to_json())
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, _, _ = run(capsys, "hs", str(path), *pipeline, "--deg-cap", "1",
+                     "--weight-cap", "2", "--cache-dir", str(tmp_path / "c"))
+    assert code == 0 and opened.count(str(path)) == 1
+
+
+def test_rep_n_entry_names_stay_unique_past_n_9(capsys):
+    # unpadded, the entries (1, 11) and (11, 1) of x would both be x:111
+    code, out, _ = run(capsys, "hr", "free:1", "--n", "11", "--deg-cap", "0",
+                       "--weight-cap", "1", "--format", "json")
+    assert code == 0 and BettiTable.from_json(out).get(0, 1) == 121
+
+
 def test_builtin_cache_job_names_only_the_input(tmp_path, capsys):
     run(capsys, "hr", "free:1", "--deg-cap", "1", "--weight-cap", "2",
         "--cache-dir", str(tmp_path))

@@ -3,10 +3,12 @@
 import pytest
 
 from symhom.commalg import abelianize
-from symhom.freealg import (dual_numbers_resolution,
+from symhom.freealg import (FreeDGAlgebra, GeneratorSpec,
+                            dual_numbers_resolution,
                             free_resolution_of_tensor_algebra)
-from symhom.repfun import (CyclicQuotientComplex, cyclic_quotient, hr_n,
-                           rep_n, trace_chain_map, _necklace)
+from symhom.lie import ce_complex, cobar, sl2
+from symhom.repfun import (CyclicQuotientComplex, hr_n, rep_n,
+                           trace_chain_map, _necklace)
 from symhom.rationals import QQ
 
 
@@ -14,6 +16,27 @@ def test_rep_1_matches_abelianization():
     R = dual_numbers_resolution(4)
     assert rep_n(R, 1).homology_table(3, 6) == \
         abelianize(R).homology_table(3, 6)
+
+
+@pytest.mark.parametrize("R", [
+    dual_numbers_resolution(4),
+    # the sl2 cobar algebra as hs_env_via_cobar builds it at caps (3, 4)
+    cobar(ce_complex(sl2(), 6), 4, 5),
+], ids=["dual-numbers", "sl2-cobar"])
+def test_rep_1_is_the_abelianization_renamed(R):
+    S, ab = rep_n(R, 1), abelianize(R)
+    assert [(g.name, g.hdeg, g.weight) for g in S.generators] == \
+        [(g.name + ":11", g.hdeg, g.weight) for g in ab.generators]
+    assert S.differential == ab.differential
+
+
+def test_rep_2_of_a_unit_boundary_is_diagonal():
+    # d(t) = 1 is the identity matrix: d(t:11) = d(t:22) = 1, d(t:12) = 0
+    R = FreeDGAlgebra([GeneratorSpec("t", 1, 1)], {"t": {(): 1}})
+    S = rep_n(R, 2)
+    assert {S.generators[i].name: poly
+            for i, poly in S.differential.items()} == \
+        {"t:11": {(): 1}, "t:22": {(): 1}}
 
 
 def test_rep_n_d_squared():
@@ -60,7 +83,7 @@ def test_necklace_vanishing_class():
 
 def test_cyclic_basis_excludes_vanishing_necklaces():
     R = dual_numbers_resolution(2)
-    cyc = cyclic_quotient(R)
+    cyc = CyclicQuotientComplex(R)
     assert ("t1", "t1") not in cyc.basis(2, 4)
 
 

@@ -25,7 +25,7 @@ from symhom.findim import dual_numbers_algebra
 from symhom.freealg import dual_numbers_resolution
 from symhom.lie import (ce_homology, hs_env_closed_form, hs_env_via_cobar,
                         sl2)
-from symhom.repfun import hr_n
+from symhom.repfun import hr_n, rep_n, trace_chain_map
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.dirname(symhom.__file__)
@@ -121,11 +121,14 @@ def test_every_import_is_used_and_every_export_resolves():
     lambda: hr_via_bar(dual_numbers_algebra(), 2, 3, n=2),
     lambda: abelianize(dual_numbers_resolution(5)).homology_table(4, 6),
     lambda: hr_n(dual_numbers_resolution(4), 2, 2, 3),
+    lambda: rep_n(dual_numbers_resolution(4), 3),
+    lambda: trace_chain_map(dual_numbers_resolution(3), 2, 2, 4),
     lambda: ce_homology(sl2(), 3),
     lambda: hs_env_via_cobar(sl2(), 3, 4),
     lambda: hs_env_closed_form(sl2(), 3, 4),
 ], ids=["hr_via_bar-n1", "hr_via_bar-n2", "homology_table", "hr_n",
-        "ce_homology", "hs_env_via_cobar", "hs_env_closed_form"])
+        "rep_n", "trace_chain_map", "ce_homology", "hs_env_via_cobar",
+        "hs_env_closed_form"])
 def test_table_computations_leave_no_reference_cycle(job):
     gc.collect()
     gc.disable()
