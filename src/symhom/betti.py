@@ -71,9 +71,15 @@ class BettiTable:
 
     @classmethod
     def from_json(cls, text):
+        """The table to_json wrote.  Raises ValueError on an entry that is
+        not an int dimension >= 0 inside the caps."""
         data = json.loads(text)
         t = cls(data["deg_cap"], data["weight_cap"])
         for h, w, d in data["entries"]:
+            if type(d) is not int or not (0 <= h <= t.deg_cap
+                                          and 0 <= w <= t.weight_cap):
+                raise ValueError("entry %r is not a dimension inside the "
+                                 "caps" % ([h, w, d],))
             t.set(h, w, d)
         return t
 

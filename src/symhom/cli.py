@@ -2,11 +2,12 @@
 emit Betti tables in several formats, cache results, and compare runs.
 
 BUILTINS, KINDS and PIPELINES below are the one place that knows the
-inputs and the routes.  An input is a built-in name (size argument as in
-poly:3) or a JSON file, sniffed by its keys when no pipeline names its
-kind: "generators" -> DG resolution, "mult" -> structure-constant
-algebra, otherwise a Lie algebra.  hr is hs --pipeline dg, and --n
-(coefficients in k^n) is read by dg and bar and refused by the Lie routes.
+inputs and the routes.  An input is a built-in name (with a size, as in
+poly:3, when BUILTINS spells it name:N) or a JSON file, sniffed by its
+keys when no pipeline names its kind: "generators" -> DG resolution,
+"mult" -> structure-constant algebra, otherwise a Lie algebra.  hr is
+hs --pipeline dg, and --n (coefficients in k^n) is read by dg and bar
+and refused by the Lie routes.
 """
 
 import argparse
@@ -35,15 +36,17 @@ from .repfun import hr_n
 
 # inputs and routes ------------------------------------------------------
 
-# name -> {kind: factory(size, deg_cap, weight_cap)}; size is the N of
-# name:N (1 when absent).  The first kind is the one hs reads by default.
+# name -> {kind: factory(size, deg_cap, weight_cap)}.  Only a built-in
+# spelled name:N here takes a size: N in name:N, 1 when absent.  The first
+# kind is the one hs reads by default.
 BUILTINS = {
     "dual-numbers": {
         "resolution": lambda size, d, w: dual_numbers_resolution(d + 1),
         "algebra": lambda *_: dual_numbers_algebra()},
-    "poly": {"lie": lambda size, d, w: abelian_lie(size),
-             "algebra": lambda size, d, w: truncated_poly_algebra(w, size)},
-    "free": {
+    "poly:N": {
+        "lie": lambda size, d, w: abelian_lie(size),
+        "algebra": lambda size, d, w: truncated_poly_algebra(w, size)},
+    "free:N": {
         "algebra": lambda size, d, w: free_tensor_algebra(size, w),
         "resolution": lambda size, d, w:
             free_resolution_of_tensor_algebra(size)},
@@ -52,7 +55,7 @@ BUILTINS = {
     "sl2": {"lie": lambda *_: sl2()},
     "heisenberg": {"lie": lambda *_: heisenberg()},
     "nab2": {"lie": lambda *_: nonabelian_2dim()},
-    "abelian": {"lie": lambda size, d, w: abelian_lie(size)},
+    "abelian:N": {"lie": lambda size, d, w: abelian_lie(size)},
 }
 
 # kind -> (default pipeline, JSON parser, key that marks a JSON file of
@@ -78,7 +81,13 @@ def _builtin(name):
     """(factories, size) of a built-in name, or None when the head of name
     before ":" is no built-in (name is then a path)."""
     head, colon, arg = name.partition(":")
-    if head not in BUILTINS:
+    if head in BUILTINS:
+        if colon:
+            raise ValueError("built-in %s takes no size; only %s do"
+                             % (head, ", ".join(n for n in BUILTINS
+                                                if n.endswith(":N"))))
+        return BUILTINS[head], 1
+    if head + ":N" not in BUILTINS:
         return None
     try:
         size = int(arg) if colon else 1
@@ -87,7 +96,7 @@ def _builtin(name):
     if size < 1:
         raise ValueError("size argument of %s must be an integer >= 1"
                          % name)
-    return BUILTINS[head], size
+    return BUILTINS[head + ":N"], size
 
 
 def _read(name):
@@ -161,7 +170,7 @@ def _parse_input(path, data, parse, kind):
 
 def _input_name(name):
     """argparse type of an input: a built-in (N >= 1 in poly:N, free:N,
-    abelian:N) or an existing file."""
+    abelian:N; no size on the others) or an existing file."""
     try:
         if _builtin(name) is None and not os.path.isfile(name):
             raise ValueError("unknown input %s: neither a built-in (%s) nor "
@@ -210,9 +219,14 @@ def _cached_table(args, job, compute):
             record = json.load(fh)
     except (OSError, ValueError):
         record = None  # absent or unreadable: a miss, rewritten below
-    if isinstance(record, dict) and record.get("job") == job \
-            and "result" in record:
-        return BettiTable.from_json(json.dumps(record["result"]))
+    if isinstance(record, dict) and record.get("job") == job:
+        try:
+            table = BettiTable.from_json(json.dumps(record["result"]))
+        except (KeyError, TypeError, ValueError):
+            table = None  # not a table: a miss, rewritten below
+        if table is not None and table.deg_cap == job["deg_cap"] \
+                and table.weight_cap == job["weight_cap"]:
+            return table
     t0 = time.time()
     table = compute()
     os.makedirs(d, exist_ok=True)
@@ -299,7 +313,16 @@ def cmd_ce(args):
     return 0
 
 
+# deltaS op -> the number of morphisms it takes
+DELTAS_ARITY = {"compose": 2, "factor": 1, "psi": 1}
+
+
 def cmd_deltas(args):
+    want = DELTAS_ARITY[args.op]
+    if len(args.args) != want:
+        raise ValueError("deltaS %s takes %d morphism%s, got %d"
+                         % (args.op, want, "s" if want > 1 else "",
+                            len(args.args)))
     f = parse_morphism(args.args[0])
     if args.op == "compose":
         g = parse_morphism(args.args[1])
@@ -405,7 +428,7 @@ def build_parser():
     sp.set_defaults(func=cmd_ce)
 
     sp = sub.add_parser("deltaS", help="symmetric-category calculator")
-    sp.add_argument("op", choices=["compose", "factor", "psi"])
+    sp.add_argument("op", choices=list(DELTAS_ARITY))
     sp.add_argument("args", nargs="+")
     sp.set_defaults(func=cmd_deltas)
 

@@ -11,6 +11,7 @@ vector in the package.
 
 from dataclasses import dataclass, field
 
+from .bar import DEFAULT_BUDGET, CapOverflowError
 from .linalg import QuotientSpace, SparseMatrix, add_term
 
 __all__ = [
@@ -355,11 +356,21 @@ def _coequalizer_generators(arity_cap, cyclic):
 
 
 def _coequalizer_space(A, arity_cap, cyclic):
+    """The truncated coequalizer as a QuotientSpace: one relation per
+    generating morphism out of [n] and word of length n + 1.  Raises
+    CapOverflowError before building anything when the relations would
+    outnumber bar.DEFAULT_BUDGET."""
+    generators = list(_coequalizer_generators(arity_cap, cyclic))
+    size = sum(A.dim ** (n + 1) for n, _ in generators)
+    if size > DEFAULT_BUDGET:
+        raise CapOverflowError(
+            "coequalizer at arity cap %d builds up to %d relations, over the "
+            "budget %d" % (arity_cap, size, DEFAULT_BUDGET))
     ncap = arity_cap - 1
     labels = [(n, w) for n in range(ncap + 1)
               for w in _all_words(A.dim, n + 1)]
     relations = []
-    for n, f in _coequalizer_generators(arity_cap, cyclic):
+    for n, f in generators:
         m = f.target_n
         for w in _all_words(A.dim, n + 1):
             rel = {(n, w): 1}

@@ -346,8 +346,8 @@ def heisenberg():
     return DGLie(["x", "y", "z"], [0, 0, 0], {(0, 1): {2: 1}})
 
 
-def abelian_lie(n, hdeg=0):
-    return DGLie(["v%d" % (i + 1) for i in range(n)], [hdeg] * n)
+def abelian_lie(n):
+    return DGLie(["v%d" % (i + 1) for i in range(n)], [0] * n)
 
 
 def nonabelian_2dim():

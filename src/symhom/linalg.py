@@ -23,8 +23,8 @@ column, then sparsest row in it), which keeps fill-in tolerable on the
 face-map matrices produced elsewhere in the package.  The sparsest column
 comes off a heap of (count, column) entries, refreshed lazily, so
 choosing a pivot does not rescan every active column.  Its pivots give
-the rank (their number), a kernel basis (back-substitution over them) and
-quotient normal forms (reduction by them, QuotientSpace).
+the rank (their number) and quotient normal forms (reduction by them,
+QuotientSpace).
 
 homology_by_blocks is the one homology loop of the package: given the
 positions of a bigraded complex and a block builder, it builds and ranks
@@ -45,7 +45,6 @@ __all__ = [
     "CompositionNonZeroError",
     "eliminate",
     "rank",
-    "kernel_basis",
     "homology_dim",
     "homology_by_blocks",
 ]
@@ -127,17 +126,6 @@ class SparseMatrix:
                     self.entries[(i, j)] = v
 
     @classmethod
-    def from_dense(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_images(cls, src, tgt, image):
         """The matrix whose column j is image(src[j]) on the basis tgt.
 
@@ -151,19 +139,6 @@ class SparseMatrix:
             for m, v in image(x).items():
                 entries[(row[m], col)] = v
         return cls(len(tgt), len(src), entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()})
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -182,14 +157,6 @@ class SparseMatrix:
                 elif key in out:
                     del out[key]
         return SparseMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec):
-        """Multiply by a sparse column vector (dict col -> scalar)."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            if j in vec:
-                add_term(out, i, v * vec[j])
-        return out
 
     def is_zero(self):
         return not self.entries
@@ -269,25 +236,6 @@ def eliminate(rows):
 def rank(M):
     """Rank of M over the rationals."""
     return len(eliminate(M.row_dicts()))
-
-
-def kernel_basis(M):
-    """Basis of the right null space of M, as a list of sparse vectors;
-    length = cols - rank.  One vector per non-pivot column f: x_f = 1,
-    the other non-pivot coordinates 0, and the pivot coordinates solved
-    from the pivot rows, last pivot first."""
-    pivots = eliminate(M.row_dicts())
-    pivot_set = {pc for pc, _ in pivots}
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        vec = {f: 1}
-        for pc, row in reversed(pivots):
-            s = sum(v * vec[j] for j, v in row.items() if j in vec)
-            if s:
-                vec[pc] = div(-s, row[pc])
-        vectors.append(vec)
-    return vectors
 
 
 class QuotientSpace:

@@ -7,13 +7,9 @@ import pytest
 
 from symhom.bar import (CapOverflowError, _decorate, bar_level_basis,
                         face_map, hr_via_bar)
-from symhom.commalg import abelianize
 from symhom.deltas import abelianization_quotient
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
                            truncated_poly_algebra)
-from symhom.freealg import dual_numbers_resolution
-from symhom.lie import abelian_lie, hs_env_closed_form, hs_env_via_cobar
-from symhom.repfun import hr_n
 from symhom.rationals import QQ
 
 
@@ -93,37 +89,6 @@ def test_poly_algebra_has_no_higher_homology():
     A = truncated_poly_algebra(4)
     table = hr_via_bar(A, 3, 4)
     assert table.degree_totals() == [5, 0, 0, 0]
-
-
-def test_polynomial_algebra_bar_cobar_and_closed_form_agree():
-    # k[x_1..x_N] by the bar route, and U of the abelian Lie algebra k^N
-    # by the cobar route and the closed form, at every cap of a sweep
-    for nvars, deg_cap, weight_cap in ((1, 3, 5), (2, 3, 4), (3, 2, 3)):
-        a = abelian_lie(nvars)
-        for d in range(deg_cap + 1):
-            for w in range(weight_cap + 1):
-                bar = hr_via_bar(truncated_poly_algebra(w, nvars), d, w)
-                assert bar == hs_env_via_cobar(a, d, w) == \
-                    hs_env_closed_form(a, d, w), (nvars, d, w)
-
-
-# every cap with d <= 3, w <= 4, and one larger weight cap
-SWEEP = [(d, w) for d in range(4) for w in range(5)] + [(3, 5)]
-
-
-def test_agrees_with_dg_pipeline_small():
-    A = dual_numbers_algebra()
-    for d, w in SWEEP:
-        R = dual_numbers_resolution(d + 1)
-        assert hr_via_bar(A, d, w) == abelianize(R).homology_table(d, w), \
-            (d, w)
-
-
-def test_matrix_variant_matches_rep_functor():
-    A = dual_numbers_algebra()
-    for d, w in SWEEP[:-1]:
-        R = dual_numbers_resolution(d + 1)
-        assert hr_via_bar(A, d, w, n=2) == hr_n(R, 2, d, w), (d, w)
 
 
 def _brute_force_level(A, n, weight_cap):

@@ -4,10 +4,11 @@ import functools
 import hashlib
 import json
 import os
+from unittest import mock
 
 import pytest
 
-from symhom import __version__, cli
+from symhom import __version__, cli, deltas
 from symhom.bar import hr_via_bar
 from symhom.betti import BettiTable
 from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
@@ -222,7 +223,37 @@ def test_json_input_round_trip(tmp_path, capsys):
     assert out == out2
 
 
-@pytest.mark.parametrize("damage", ["truncate", "other-job"])
+def _other_job(record):
+    record["job"]["deg_cap"] = 99
+    record["result"]["entries"] = []
+
+
+def _bad_entries(record):
+    record["result"]["entries"] = 5
+
+
+def _no_deg_cap(record):
+    del record["result"]["deg_cap"]
+
+
+def _other_caps(record):
+    record["result"]["weight_cap"] = 3
+
+
+def _past_the_caps(record):
+    record["result"]["entries"].append([2, 5, 1])
+
+
+def _float_dimension(record):
+    record["result"]["entries"][0][2] = 1.5
+
+
+@pytest.mark.parametrize("damage", [None, _other_job, _bad_entries,
+                                    _no_deg_cap, _other_caps,
+                                    _past_the_caps, _float_dimension],
+                         ids=["truncate", "other-job", "bad-entries",
+                              "no-deg-cap", "other-caps", "past-the-caps",
+                              "float-dimension"])
 def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
                                                      damage):
     args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
@@ -231,16 +262,16 @@ def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
     code1, out1, _ = run(capsys, *args)
     (entry,) = tmp_path.iterdir()
     good = entry.read_text()
-    if damage == "truncate":
+    if damage is None:
         entry.write_text(good[:len(good) // 2])
     else:
         record = json.loads(good)
-        record["job"]["deg_cap"] = 99
-        record["result"]["entries"] = []
+        damage(record)
         entry.write_text(json.dumps(record))
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0 and out2 == out1
-    assert json.loads(entry.read_text())["job"] == json.loads(good)["job"]
+    assert json.loads(entry.read_text()) == {
+        **json.loads(good), "wall_time": mock.ANY}
     assert os.listdir(tmp_path) == [entry.name]  # no temp file left
 
 
@@ -354,6 +385,18 @@ def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
                    "(level, weight) = (2, 5)\n")
 
 
+def test_coequalizer_over_budget_exits_3_before_building(capsys,
+                                                         monkeypatch):
+    # M_2 at arity cap 8 needs 1,332,568 relations; the budget is checked
+    # on the count, before any relation is built
+    monkeypatch.setattr(deltas, "b_sym_action", None)
+    for cmd in ("hs0", "hc0"):
+        code, out, err = run(capsys, cmd, "m2", "--arity-cap", "8")
+        assert code == 3 and out == ""
+        assert err.startswith("error: coequalizer at arity cap 8 ")
+        assert err.count("\n") == 1
+
+
 def test_default_and_named_pipeline_share_one_cache_entry(tmp_path,
                                                           capsys):
     path = tmp_path / "res.json"
@@ -425,11 +468,13 @@ def test_out_of_range_value_exits_2_with_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize("name, kind", [
-    (name, kind) for name, kinds in cli.BUILTINS.items() for kind in kinds])
+    (name, kind) for name, kinds in cli.BUILTINS.items() for kind in kinds],
+    ids=lambda x: x.partition(":")[0])
 def test_every_builtin_kind_loads(name, kind):
     types = {"resolution": FreeDGAlgebra, "algebra": FinDimAlgebra,
              "lie": DGLie}
-    for spelling in (name, name + ":2"):
+    head, sized, _ = name.partition(":")
+    for spelling in (head, head + ":2") if sized else (name,):
         got, value = cli.load(spelling, kind, deg_cap=2, weight_cap=3)
         assert got == kind and isinstance(value, types[kind])
 
@@ -443,8 +488,8 @@ def test_default_pipelines():
     default = {name: cli.KINDS[next(iter(kinds))][0]
                for name, kinds in cli.BUILTINS.items()}
     assert default == {
-        "dual-numbers": "dg", "free": "bar", "m2": "bar", "ut2": "bar",
-        "poly": "cobar", "abelian": "cobar", "sl2": "cobar",
+        "dual-numbers": "dg", "free:N": "bar", "m2": "bar", "ut2": "bar",
+        "poly:N": "cobar", "abelian:N": "cobar", "sl2": "cobar",
         "heisenberg": "cobar", "nab2": "cobar"}
 
 
@@ -465,6 +510,11 @@ def test_json_path_with_a_colon_is_a_path(tmp_path, capsys, monkeypatch):
     ["hs", "sl2", "--pipeline", "bar"],
     ["hs", "m2", "--pipeline", "dg"],
     ["compare", "hs0 m2", "hs sl2"],
+    ["hs0", "m2:3"],
+    ["hs", "sl2:4"],
+    ["deltaS", "compose", "(x0)"],
+    ["deltaS", "factor", "(x0)|(x1)", "extra"],
+    ["deltaS", "psi", "(x0)", "(x0)"],
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     try:
@@ -475,3 +525,5 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2 and out.out == ""
     assert len([line for line in out.err.splitlines()
                 if "error:" in line]) == 1
+    if argv[0] == "deltaS":
+        assert "deltaS %s" % argv[1] in out.err

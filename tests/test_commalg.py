@@ -167,13 +167,3 @@ def test_homology_table_keeps_no_cache_between_calls():
     assert first and len(calls) == 2 * first
     # each basis is enumerated once per call
     assert len(set(calls[:first])) == first
-
-
-def test_homology_table_restricts_across_caps():
-    for d in range(5):
-        for w in range(7):
-            small = _dual_abelianized(d + 1).homology_table(d, w)
-            big = _dual_abelianized(d + 2).homology_table(d + 1, w + 1)
-            cut = {(h, ww): v for (h, ww), v in big.entries.items()
-                   if h <= d and ww <= w}
-            assert small.entries == cut, (d, w)

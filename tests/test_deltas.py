@@ -16,7 +16,6 @@ from symhom.deltas import (ArityMismatchError, DeltaSMorphism,
                            transposition)
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
                            matrix_algebra, upper_triangular_algebra)
-from symhom.rationals import QQ
 
 
 def all_morphisms(src_arity, tgt_arity):
