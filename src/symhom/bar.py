@@ -156,14 +156,15 @@ def _flatten(tree, i):
     return tuple(_flatten(child, i - 1) for child in tree)
 
 
-def _multiply_innermost(A, tree, depth, unit_index):
-    """Replace each innermost bracket by its product: dict tree -> coeff."""
+def _multiply_innermost(A, tree, depth):
+    """Replace each innermost bracket by its product: dict tree -> coeff.
+    The product of ideal letters has no unit part: _leaf_weights puts
+    them at weight >= 1, and products add weight."""
     if depth == 1:
-        return {k: v for k, v in
-                A.ideal_product(list(tree), unit_index).items()}
+        return A.multiply_word(tree)
     out = {(): 1}
     for child in tree:
-        sub = _multiply_innermost(A, child, depth - 1, unit_index)
+        sub = _multiply_innermost(A, child, depth - 1)
         nxt = {}
         for pref, c1 in out.items():
             for t, c2 in sub.items():
@@ -192,7 +193,7 @@ def _decorate(monos, n):
     return out
 
 
-def _face(A, nlev, i, mono, unit_index, n):
+def _face(A, nlev, i, mono, n):
     """Face i of a level-nlev monomial of decorated factors: dict
     monomial -> coeff."""
     if i == 0:
@@ -213,7 +214,7 @@ def _face(A, nlev, i, mono, unit_index, n):
         return {tuple(sorted((_flatten(t, i), a, b) for t, a, b in mono)): 1}
     out = {(): 1}
     for t, a, b in mono:
-        sub = _multiply_innermost(A, t, nlev, unit_index)
+        sub = _multiply_innermost(A, t, nlev)
         out = {pre + ((t2, a, b),): c1 * c2
                for pre, c1 in out.items() for t2, c2 in sub.items()}
         if not out:
@@ -225,11 +226,11 @@ def face_map(A, n, i, element):
     """Apply face i to an element (dict monomial -> coeff) of level n."""
     if not 0 <= i <= n or n < 1:
         raise IndexError("face (%d, %d) out of range" % (n, i))
-    u, _ = A.augmented_split()
+    _leaf_weights(A)
     out = {}
     for mono, c in element.items():
         plain = tuple((t, 0, 0) for t in mono)
-        for m2, c2 in _face(A, n, i, plain, u, 1).items():
+        for m2, c2 in _face(A, n, i, plain, 1).items():
             add_term(out, tuple(t for t, _, _ in m2), exact(c) * c2)
     return out
 
@@ -245,7 +246,7 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    unit_index, ideal = _leaf_weights(A)
+    _, ideal = _leaf_weights(A)
     if A.truncation is not None and A.truncation < weight_cap:
         raise ValueError("algebra truncated below the requested weight cap")
     cache = {}
@@ -275,7 +276,7 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
         def image(mono):
             acc = {}
             for i in range(lev + 1):
-                for m2, c in _face(A, lev, i, mono, unit_index, n).items():
+                for m2, c in _face(A, lev, i, mono, n).items():
                     add_term(acc, m2, -c if i % 2 else c)
             # degenerate targets are zero in the normalized complex
             return {m: c for m, c in acc.items() if m in nondegenerate}

@@ -1,11 +1,15 @@
 """Graded-commutative DG algebras (polynomial tensor exterior) and their
 blockwise homology.
 
-Monomials are nondecreasing tuples of generator indices; odd-degree
-generators square to zero and reordering follows the Koszul rule.  The
-differential must be homogeneous: it lowers homological degree by 1 and
-shifts weight by a fixed amount (0 for honest weight gradings, -1 for the
-abelianized cobar of a plain Lie algebra).
+A CommDGAlgebra is presented as a FreeDGAlgebra is: weight-graded
+generators and the value of d on each, a dict of words of generator
+names.  The constructor sorts each word into a monomial, a nondecreasing
+tuple of generator indices: odd-degree generators square to zero and
+reordering follows the Koszul rule.  So the abelianization of a
+semi-free algebra on (V, d) is the CommDGAlgebra on the same (V, d).
+freealg.grading_shifts checks the grading of both classes; here the
+sorted differential must shift weight by one fixed amount (0 for honest
+weight gradings, -1 for the abelianized cobar of a plain Lie algebra).
 
 homology_table hands its blocks to linalg.homology_by_blocks, which
 builds and ranks each block once; the block bases are enumerated once per
@@ -13,7 +17,8 @@ call through a memo that lives only for that call.
 """
 
 from .betti import BettiTable
-from .linalg import SparseMatrix, add_term, homology_by_blocks
+from .freealg import grading_shifts
+from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
 
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
 
@@ -44,6 +49,11 @@ class CommDGAlgebra:
     """Free graded-commutative DG algebra on weight-graded generators."""
 
     def __init__(self, generators, differential=None):
+        """differential is presented as for FreeDGAlgebra: it maps a
+        generator name to a dict word -> scalar, a word being a tuple of
+        generator names in any order.  Each word is sorted into a monomial
+        with its Koszul sign (normalize), odd squares vanish, reorderings
+        of one monomial are summed, and the scalars are made exact."""
         self.generators = list(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
@@ -52,31 +62,26 @@ class CommDGAlgebra:
         self.parities = [g.hdeg % 2 for g in self.generators]
         self.differential = {}
         for name, poly in (differential or {}).items():
-            i = self.index[name]
-            if poly:
-                self.differential[i] = poly
-        self.weight_shift = self._validate()
+            out = {}
+            for word, c in exact_vector(poly).items():
+                sign, mono = self.normalize(word)
+                if sign:
+                    add_term(out, mono, c * sign)
+            if out:
+                self.differential[self.index[name]] = out
+        # The shifts are read off the sorted terms, not the words given:
+        # the free cobar of sl2 has quadratic coproduct terms of shift 0
+        # beside linear ones of shift -1, and only after sorting do the
+        # quadratic terms cancel (CE(g) is cocommutative).
+        shifts = sorted(grading_shifts(self.generators, self.differential))
+        if len(shifts) > 1:
+            raise ValueError("differential is not weight-homogeneous "
+                             "(shifts %s)" % shifts)
+        self.weight_shift = shifts[0] if shifts else 0
 
-    def _validate(self):
-        """Check grading of d; return its (uniform) weight shift."""
-        shift = None
-        for i, poly in self.differential.items():
-            g = self.generators[i]
-            for mono in poly:
-                h = sum(self.generators[j].hdeg for j in mono)
-                w = sum(self.generators[j].weight for j in mono)
-                if h != g.hdeg - 1:
-                    raise ValueError("d(%s) not of degree -1" % g.name)
-                s = w - g.weight
-                if s > 0:
-                    raise ValueError("d(%s) raises weight" % g.name)
-                if shift is None:
-                    shift = s
-                elif shift != s:
-                    raise ValueError(
-                        "differential is not weight-homogeneous "
-                        "(shifts %d and %d)" % (shift, s))
-        return 0 if shift is None else shift
+    def normalize(self, word):
+        """A word of generator names as (sign, monomial); see sort_word."""
+        return sort_word([self.index[n] for n in word], self.parities)
 
     # polynomial arithmetic (dict monomial -> scalar) --------------------
 
@@ -191,22 +196,6 @@ class CommDGAlgebra:
 
 
 def abelianize(R):
-    """Universal graded-commutative quotient of a FreeDGAlgebra.
-
-    Same generators; each differential image is rewritten into monomial
-    normal form with Koszul signs (odd squares vanish); R holds exact
-    scalars, so integral coefficients stay ints.
-    """
-    gens = list(R.generators)
-    parities = [g.hdeg % 2 for g in gens]
-    index = {g.name: i for i, g in enumerate(gens)}
-    diff = {}
-    for name, poly in R.differential.items():
-        out = {}
-        for word, c in poly.items():
-            sign, mono = sort_word([index[n] for n in word], parities)
-            if sign:
-                add_term(out, mono, c * sign)
-        if out:
-            diff[name] = out
-    return CommDGAlgebra(gens, diff)
+    """Universal graded-commutative quotient of a FreeDGAlgebra: the free
+    graded-commutative algebra on R's generators and differential."""
+    return CommDGAlgebra(R.generators, R.differential)

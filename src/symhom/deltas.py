@@ -10,6 +10,7 @@ vector in the package.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bar import DEFAULT_BUDGET, CapOverflowError
 from .linalg import QuotientSpace, SparseMatrix, add_term
@@ -19,8 +20,7 @@ __all__ = [
     "factorize", "transposition", "rotation", "face_embedding",
     "multiply_map", "parse_morphism", "format_morphism",
     "b_sym_action", "FreeGroupHom", "psi_sym",
-    "CyclicMorphism", "cyclic_rotation", "hochschild_face",
-    "cyclic_degeneracy", "cyclic_to_sym",
+    "hochschild_face",
     "abelianization_quotient", "hs0_coequalizer", "hc0_coequalizer",
 ]
 
@@ -257,23 +257,7 @@ def psi_sym(f):
     return FreeGroupHom(f.target_arity, f.source_arity, f.monomials)
 
 
-# the cyclic category inside Delta-S ------------------------------------
-
-@dataclass(frozen=True)
-class CyclicMorphism:
-    """A Delta^op morphism (stored via its Delta-S image) with a rotation."""
-    delta_part: DeltaSMorphism
-    r: int
-
-    def __post_init__(self):
-        n = self.delta_part.source_n
-        if not 0 <= self.r <= n:
-            raise ValueError("rotation out of range")
-
-
-def cyclic_rotation(n, r=1):
-    return CyclicMorphism(identity(n), r % (n + 1))
-
+# the cyclic operators behind hc0 ----------------------------------------
 
 def hochschild_face(n, i):
     """Face d_i of the cyclic bar construction, as a Delta-S morphism.
@@ -289,20 +273,6 @@ def hochschild_face(n, i):
     return DeltaSMorphism(tuple(mon))
 
 
-def cyclic_degeneracy(n, i):
-    """Degeneracy s_i (insert the unit after slot i) as a Delta-S morphism."""
-    return face_embedding(n + 1, i + 1)
-
-
-def cyclic_to_sym(c):
-    """Image of a cyclic morphism under the inclusion into Delta-S."""
-    n = c.delta_part.source_n
-    f = identity(n)
-    for _ in range(c.r):
-        f = compose(rotation(n), f)
-    return compose(c.delta_part, f)
-
-
 # degree-0 coequalizers --------------------------------------------------
 
 def abelianization_quotient(A):
@@ -313,7 +283,7 @@ def abelianization_quotient(A):
     labels = list(range(A.dim))
     relations = []
     for length in (2, 3):
-        for w in _all_words(A.dim, length):
+        for w in product(range(A.dim), repeat=length):
             base = A.multiply_word(w)
             for i in range(len(w) - 1):
                 sw = list(w)
@@ -332,7 +302,8 @@ def _coequalizer_generators(arity_cap, cyclic):
 
     Yields pairs (n, f) with f a morphism out of [n].  For the symmetric
     coequalizer: adjacent transpositions, merges, unit insertions.  For
-    the cyclic one: rotations, Hochschild faces, degeneracies.
+    the cyclic one: rotations, Hochschild faces, and the degeneracies
+    s_i (the unit inserted after slot i, face_embedding(n + 1, i + 1)).
     """
     ncap = arity_cap - 1
     for n in range(ncap + 1):
@@ -344,7 +315,7 @@ def _coequalizer_generators(arity_cap, cyclic):
                     yield n, hochschild_face(n, i)
             if n + 1 <= ncap:
                 for i in range(n + 1):
-                    yield n, cyclic_degeneracy(n, i)
+                    yield n, face_embedding(n + 1, i + 1)
         else:
             for i in range(n):
                 yield n, transposition(n, i)
@@ -368,26 +339,17 @@ def _coequalizer_space(A, arity_cap, cyclic):
             "budget %d" % (arity_cap, size, DEFAULT_BUDGET))
     ncap = arity_cap - 1
     labels = [(n, w) for n in range(ncap + 1)
-              for w in _all_words(A.dim, n + 1)]
+              for w in product(range(A.dim), repeat=n + 1)]
     relations = []
     for n, f in generators:
         m = f.target_n
-        for w in _all_words(A.dim, n + 1):
+        for w in product(range(A.dim), repeat=n + 1):
             rel = {(n, w): 1}
             for iw, c in b_sym_action(A, f, {w: 1}).items():
                 add_term(rel, (m, iw), -c)
             if rel:
                 relations.append(rel)
     return QuotientSpace(labels, relations)
-
-
-def _all_words(dim, length):
-    """Every word of the given length over range(dim), in lexicographic
-    order."""
-    words = [()]
-    for _ in range(length):
-        words = [w + (i,) for w in words for i in range(dim)]
-    return words
 
 
 def hs0_coequalizer(A, arity_cap):

@@ -13,7 +13,7 @@ import itertools
 import json
 
 from .linalg import add_term, exact, exact_vector
-from .rationals import qq, qq_str
+from .rationals import qq
 
 __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
            "upper_triangular_algebra", "truncated_poly_algebra",
@@ -68,9 +68,13 @@ class FinDimAlgebra:
         return out
 
     def multiply_word(self, indices):
-        """Ordered product of basis elements; empty word gives the unit."""
-        out = dict(self.unit)
-        for i in indices:
+        """Ordered product of basis elements; the empty word gives the
+        unit, and a nonempty one starts from its first letter (validate
+        checks the unit law, so that is the same product)."""
+        if not indices:
+            return dict(self.unit)
+        out = {indices[0]: 1}
+        for i in indices[1:]:
             out = self.multiply(out, {i: 1})
         return out
 
@@ -146,31 +150,17 @@ class FinDimAlgebra:
             ideal.append(i)
         return u, ideal
 
-    def ideal_product(self, indices, unit_index):
-        """Product of augmentation-ideal basis elements, as an ideal vector.
-
-        Returns dict index -> scalar with no unit component (checked).
-        """
-        if not indices:
-            raise ValueError("empty product lands outside the ideal")
-        out = {indices[0]: 1}
-        for i in indices[1:]:
-            out = self.multiply(out, {i: 1})
-        if unit_index in out:
-            raise ValueError("product of ideal elements has a unit part")
-        return out
-
     # serialization -------------------------------------------------------
 
     def to_json(self):
         mult = []
         for (i, j), vec in sorted(self.mult.items()):
             mult.append([self.basis[i], self.basis[j],
-                         {self.basis[k]: qq_str(c)
+                         {self.basis[k]: str(c)
                           for k, c in sorted(vec.items())}])
         data = {
             "basis": self.basis,
-            "unit": {self.basis[i]: qq_str(c)
+            "unit": {self.basis[i]: str(c)
                      for i, c in sorted(self.unit.items())},
             "mult": mult,
         }
@@ -178,7 +168,7 @@ class FinDimAlgebra:
             data["weights"] = {b: self.weights[i]
                                for b, i in self.index.items()}
         if self.augmentation is not None:
-            data["augmentation"] = {self.basis[i]: qq_str(c)
+            data["augmentation"] = {self.basis[i]: str(c)
                                     for i, c in sorted(self.augmentation.items())}
         if self.truncation is not None:
             data["truncation"] = self.truncation

@@ -5,15 +5,17 @@ the differential on each generator; the differential extends as a degree
 -1 derivation with the Koszul sign d(ab) = d(a)b + (-1)^{|a|} a d(b).
 An element of the algebra is a plain dict word -> scalar, a word being a
 tuple of generator names, as every vector in the package is a plain dict.
+commalg.CommDGAlgebra takes the same presentation, so abelianizing is a
+constructor call; grading_shifts checks the grading of d for both.
 """
 
 import json
 from dataclasses import dataclass
 
 from .linalg import add_term, exact_vector
-from .rationals import qq, qq_str
+from .rationals import qq
 
-__all__ = ["GeneratorSpec", "FreeDGAlgebra",
+__all__ = ["GeneratorSpec", "FreeDGAlgebra", "grading_shifts",
            "dual_numbers_resolution", "free_resolution_of_tensor_algebra"]
 
 
@@ -30,6 +32,32 @@ class GeneratorSpec:
             if type(value) is not int or value < low:
                 raise ValueError("%s of %s must be an integer >= %d, got %r"
                                  % (attr, self.name, low, value))
+
+
+def grading_shifts(spec, differential):
+    """The set of weight shifts of the terms of a differential, after
+    checking that each term of d(g) has degree hdeg(g) - 1 and weight at
+    most weight(g).  differential maps a key of spec to a dict word ->
+    scalar, whose words are tuples of keys of spec; spec maps each key to
+    its GeneratorSpec."""
+    shifts = set()
+    for key, poly in differential.items():
+        g = spec[key]
+        for word in poly:
+            hdeg = weight = 0
+            for x in word:
+                hdeg += spec[x].hdeg
+                weight += spec[x].weight
+            if hdeg != g.hdeg - 1:
+                problem = "a term of wrong degree"
+            elif weight > g.weight:
+                problem = "a weight-raising term"
+            else:
+                shifts.add(weight - g.weight)
+                continue
+            raise ValueError("d(%s) has %s: %s" % (
+                g.name, problem, tuple(spec[x].name for x in word)))
+    return shifts
 
 
 class FreeDGAlgebra:
@@ -51,24 +79,10 @@ class FreeDGAlgebra:
             terms = exact_vector({tuple(w): c for w, c in poly.items()})
             if terms:
                 self.differential[name] = terms
-        self._validate_grading()
-
-    def _validate_grading(self):
-        for name, poly in self.differential.items():
-            g = self.gen_by_name[name]
-            for word in poly:
-                if self.word_hdeg(word) != g.hdeg - 1:
-                    raise ValueError(
-                        "d(%s) has a term of wrong degree: %s" % (name, word))
-                if self.word_weight(word) > g.weight:
-                    raise ValueError(
-                        "d(%s) has a weight-raising term: %s" % (name, word))
+        grading_shifts(self.gen_by_name, self.differential)
 
     def word_hdeg(self, word):
         return sum(self.gen_by_name[n].hdeg for n in word)
-
-    def word_weight(self, word):
-        return sum(self.gen_by_name[n].weight for n in word)
 
     def d_gen(self, name):
         return self.differential.get(name, {})
@@ -101,7 +115,7 @@ class FreeDGAlgebra:
                 {"name": g.name, "hdeg": g.hdeg, "weight": g.weight}
                 for g in self.generators],
             "differential": [
-                [name, sorted([list(w), qq_str(c)]
+                [name, sorted([list(w), str(c)]
                               for w, c in poly.items())]
                 for name, poly in sorted(self.differential.items())],
         }, indent=2)

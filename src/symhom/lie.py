@@ -166,7 +166,7 @@ class CECoalgebra:
         self.alg = CommDGAlgebra(
             [GeneratorSpec(name, h + 1, 1)
              for name, h in zip(lie.names, lie.hdegs)],
-            {lie.names[i]: {(k,): c for k, c in vec.items()}
+            {lie.names[i]: {(lie.names[k],): c for k, c in vec.items()}
              for i, vec in lie.differential.items()})
         self.parities = self.alg.parities
 

@@ -2,12 +2,12 @@
 
 Every number in this package is an exact rational, never a float: an int
 or a fractions.Fraction in lowest terms with a positive denominator.
-FinDimAlgebra, FreeDGAlgebra, DGLie and SparseMatrix make their scalars
-exact once, in the constructor: an integral value is held as an int
-(linalg.exact and linalg.div keep it so), since int arithmetic is
-several times faster.
-QQ names the Fraction type; qq and qq_str read and write the "p" / "p/q"
-text form.
+FinDimAlgebra, FreeDGAlgebra, CommDGAlgebra, DGLie and SparseMatrix make
+their scalars exact once, in the constructor: an integral value is held
+as an int (linalg.exact and linalg.div keep it so), since int arithmetic
+is several times faster.
+QQ names the Fraction type.  The JSON formats write a scalar as its str,
+"p" for an int and "p/q" for a Fraction, and qq reads that form back.
 """
 
 from fractions import Fraction as QQ
@@ -23,11 +23,3 @@ def qq(x):
             return QQ(int(num), int(den))
         return QQ(int(x))
     return QQ(x)
-
-
-def qq_str(x):
-    """Render a scalar as "p" or "p/q" (used by the JSON formats)."""
-    x = QQ(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%s/%s" % (x.numerator, x.denominator)

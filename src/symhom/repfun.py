@@ -2,18 +2,19 @@
 cyclic-word quotient complexes, and the trace chain map between them.
 
 rep_n(R) is the abelianization of the matrix reduction R_n of [BKR]: the
-free DG algebra on the entries g:ab of a generic n x n matrix per
+CommDGAlgebra on the entries g:ab of a generic n x n matrix per
 generator g of R, whose d(g:ab) is the (a, b) entry of d(g) evaluated on
 those matrices, one word of entry names per term of d(g) and index path
-a = c_0, ..., c_k = b.  The cyclic quotient is spanned by necklaces:
+a = c_0, ..., c_k = b.  Built from that presentation directly, it is
+what abelianize makes of the free algebra R_n.  The cyclic quotient is spanned by necklaces:
 words up to rotation with the Koszul rotation sign, a class vanishing
 when some rotation fixes the word with sign -1.
 """
 
 from itertools import product
 
-from .commalg import abelianize, sort_word
-from .freealg import FreeDGAlgebra, GeneratorSpec
+from .commalg import CommDGAlgebra
+from .freealg import GeneratorSpec
 from .linalg import SparseMatrix, add_term
 
 __all__ = ["rep_n", "CyclicQuotientComplex", "trace_chain_map", "hr_n"]
@@ -39,8 +40,8 @@ def _entry_words(word, n, a, b):
 
 
 def rep_n(R, n):
-    """rep_n(R): the abelianized matrix reduction, n^2 generators g:ab per
-    generator g of R."""
+    """rep_n(R): the CommDGAlgebra on the matrix-reduction presentation,
+    n^2 generators g:ab per generator g of R."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pairs = [(a, b) for a in range(n) for b in range(n)]
@@ -53,7 +54,7 @@ def rep_n(R, n):
             diff[_entry_name(name, a, b, n)] = {
                 entry: c for word, c in dg.items()
                 for entry in _entry_words(word, n, a, b)}
-    return abelianize(FreeDGAlgebra(gens, diff))
+    return CommDGAlgebra(gens, diff)
 
 
 def _necklace(R, word):
@@ -149,8 +150,7 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
         out = {}
         for a in range(n):
             for entry in _entry_words(word, n, a, a):
-                sign, mono = sort_word([S.index[e] for e in entry],
-                                       S.parities)
+                sign, mono = S.normalize(entry)
                 if sign:
                     add_term(out, mono, sign)
         return out

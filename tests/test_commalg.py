@@ -5,7 +5,9 @@ import random
 import pytest
 
 from symhom.commalg import CommDGAlgebra, abelianize, sort_word
-from symhom.freealg import GeneratorSpec, dual_numbers_resolution
+from symhom.freealg import (FreeDGAlgebra, GeneratorSpec,
+                            dual_numbers_resolution, grading_shifts)
+from symhom.lie import ce_complex, cobar, sl2
 from symhom.rationals import QQ
 
 
@@ -80,18 +82,55 @@ def test_abelianize_matches_sorted_free_differential():
     assert S.differential[S.index["t3"]] == {mono: QQ(2)}
 
 
+def test_unsorted_name_words_are_sorted_with_koszul_signs():
+    # x, y even and a, b odd; d is given on words in any order
+    gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("y", 0, 1),
+            GeneratorSpec("a", 1, 1), GeneratorSpec("b", 1, 1),
+            GeneratorSpec("s", 1, 2), GeneratorSpec("t", 3, 2),
+            GeneratorSpec("u", 3, 2)]
+    diff = {"s": {("y", "x"): QQ(1), ("x", "y"): 1},  # even letters sum
+            "t": {("b", "a"): 1, ("a", "b"): 1},  # odd letters cancel
+            "u": {("a", "a"): 1}}  # an odd square vanishes
+    S = CommDGAlgebra(gens, diff)
+    x, y = S.index["x"], S.index["y"]
+    assert S.differential == {S.index["s"]: {(x, y): 2}}
+    assert type(S.differential[S.index["s"]][(x, y)]) is int
+    assert S.weight_shift == 0
+    assert abelianize(FreeDGAlgebra(gens, diff)).differential == \
+        S.differential
+
+
+def test_weight_shift_is_read_after_sorting():
+    # the free cobar of sl2 has linear terms of shift -1 and quadratic
+    # coproduct terms of shift 0; the quadratic ones cancel in the
+    # abelianization (CE(sl2) is cocommutative), leaving one shift
+    omega = cobar(ce_complex(sl2(), 6), 4, 5)
+    assert grading_shifts(omega.gen_by_name, omega.differential) == {0, -1}
+    assert abelianize(omega).weight_shift == -1
+
+
+def test_grading_errors_name_the_term():
+    gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("s", 1, 1)]
+    for cls in (FreeDGAlgebra, CommDGAlgebra):
+        with pytest.raises(ValueError, match="wrong degree"):
+            cls(gens, {"s": {("s",): 1}})
+        with pytest.raises(ValueError,
+                           match=r"weight-raising term: \('x', 'x'\)"):
+            cls(gens, {"s": {("x", "x"): 1}})
+
+
 def test_inhomogeneous_weight_shift_rejected():
     gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("s", 1, 2),
             GeneratorSpec("t", 1, 3)]
-    diff = {"s": {(0,): QQ(1)},  # shift -1
-            "t": {(0,): QQ(1)}}  # shift -2
+    diff = {"s": {("x",): QQ(1)},  # shift -1
+            "t": {("x",): QQ(1)}}  # shift -2
     with pytest.raises(ValueError):
         CommDGAlgebra(gens, diff)
 
 
 def test_uniform_negative_weight_shift_tracked():
     gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("s", 1, 2)]
-    S = CommDGAlgebra(gens, {"s": {(0,): QQ(1)}})
+    S = CommDGAlgebra(gens, {"s": {("x",): QQ(1)}})
     assert S.weight_shift == -1
 
 
@@ -146,7 +185,7 @@ def test_euler_check_per_weight():
 
 def test_euler_check_guards():
     gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("s", 1, 2)]
-    S = CommDGAlgebra(gens, {"s": {(0,): QQ(1)}})
+    S = CommDGAlgebra(gens, {"s": {("x",): QQ(1)}})
     with pytest.raises(ValueError):
         S.euler_check(2, 4)  # weight shift is -1
 

@@ -8,7 +8,6 @@ import pytest
 
 from symhom.deltas import (ArityMismatchError, DeltaSMorphism,
                            abelianization_quotient, b_sym_action, compose,
-                           cyclic_degeneracy, cyclic_rotation, cyclic_to_sym,
                            face_embedding, factorize, format_morphism,
                            hc0_coequalizer, hochschild_face, hs0_coequalizer,
                            identity, multiply_map, parse_morphism,
@@ -201,8 +200,6 @@ def test_psi_sym_images():
 
 def test_cyclic_rotation_embedding():
     for n in range(1, 5):
-        f = cyclic_to_sym(cyclic_rotation(n, 1))
-        assert f == rotation(n)
         # n+1 rotations give the identity
         g = identity(n)
         for _ in range(n + 1):
@@ -219,10 +216,6 @@ def test_hochschild_face_wraparound():
     w = {(e22, e11, e12): 1}
     out = b_sym_action(A, hochschild_face(2, 2), w)
     assert out == {(e12, e11): 1}
-
-
-def test_cyclic_degeneracy_is_unit_insertion():
-    assert cyclic_degeneracy(1, 0) == face_embedding(2, 1)
 
 
 def test_abelianization_quotient_dimensions():

@@ -1,5 +1,6 @@
 """Structure-constant algebras: validation, products, serialization."""
 
+import itertools
 import random
 
 import pytest
@@ -102,12 +103,17 @@ def test_augmented_split():
         matrix_algebra(2).augmented_split()  # no augmentation given
 
 
-def test_ideal_product_guards():
-    A = dual_numbers_algebra()
-    u, (x,) = A.augmented_split()
-    assert A.ideal_product([x, x], u) == {}
-    with pytest.raises(ValueError):
-        A.ideal_product([], u)
+@pytest.mark.parametrize("A", [dual_numbers_algebra(),
+                               truncated_poly_algebra(4),
+                               free_tensor_algebra(2, 3)],
+                         ids=["dual-numbers", "poly", "free"])
+def test_products_of_ideal_letters_have_no_unit_part(A):
+    # the bar faces multiply ideal letters with multiply_word and no
+    # guard: the letters have weight >= 1, and products add weight
+    u, ideal = A.augmented_split()
+    for length in range(1, 4):
+        for word in itertools.product(ideal, repeat=length):
+            assert u not in A.multiply_word(word)
 
 
 def test_truncated_poly_structure():

@@ -1,7 +1,8 @@
 """Names that live outside the package must keep resolving: the
 benchmark's tracer wraps symhom calls by name (a rename would silently
-drop spans from its metrics), the README lists the CLI built-ins, and
-its CLI block holds commands the parser accepts.
+drop spans from its metrics), the README lists the CLI built-ins and
+the package's modules, and its CLI block holds commands the parser
+accepts.
 Inside the package, every import is used and every export exists, and a
 table computation leaves no reference cycle behind: a cycle would keep
 its per-call caches alive until the cyclic collector runs."""
@@ -57,6 +58,19 @@ def readme_builtins(path=README):
 
 def test_readme_names_every_builtin():
     assert readme_builtins() == set(cli.BUILTINS)
+
+
+def readme_layout(path=README):
+    """The module files named in the README's Layout block."""
+    with open(path) as fh:
+        block = re.search(r"## Layout\s+```\n(.*?)```", fh.read(), re.S)
+    return set(re.findall(r"^  (\w+\.py) ", block.group(1), re.M))
+
+
+def test_readme_layout_names_every_module():
+    modules = {os.path.basename(path)
+               for path in glob.glob(os.path.join(PACKAGE, "*.py"))}
+    assert readme_layout() == modules - {"__init__.py"}
 
 
 def readme_cli_lines(path=README):
