@@ -1,25 +1,27 @@
 """The symmetric category Delta-S: normal forms, composition,
 factorization, the symmetric bar action, and degree-0 coequalizers.
 
-A morphism [n] -> [m] is stored in tensor-of-monomials normal form: m+1
-sequences over the variables {0..n}, each variable occurring exactly
-once.  Composition is substitution; the unique (permutation, monotone)
+A morphism [n] -> [m] is plain data, like every vector in the package:
+the tuple of its m+1 monomials, each a tuple over the variables {0..n}
+in which every variable occurs exactly once.  morphism() checks that
+normal form where a morphism enters from outside (parse_morphism calls
+it); the constructors below build normal forms and return them
+unchecked.  The source arity is arity(f), the target arity len(f).
+Composition is substitution; the unique (permutation, monotone)
 factorization is computed on demand.  An element of the symmetric bar
-construction is a plain dict, word of basis indices -> scalar, like every
-vector in the package.
+construction is a dict, word of basis indices -> scalar.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .bar import DEFAULT_BUDGET, CapOverflowError
-from .linalg import QuotientSpace, SparseMatrix, add_term
+from .linalg import QuotientSpace, add_term
 
 __all__ = [
-    "DeltaSMorphism", "ArityMismatchError", "identity", "compose",
+    "ArityMismatchError", "morphism", "arity", "identity", "compose",
     "factorize", "transposition", "rotation", "face_embedding",
     "multiply_map", "parse_morphism", "format_morphism",
-    "b_sym_action", "FreeGroupHom", "psi_sym",
+    "b_sym_action", "psi_sym",
     "hochschild_face",
     "abelianization_quotient", "hs0_coequalizer", "hc0_coequalizer",
 ]
@@ -29,42 +31,28 @@ class ArityMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaSMorphism:
-    """Morphism [n] -> [m] as a tuple of m+1 monomials over {0..n}."""
-    monomials: tuple
+def morphism(monomials):
+    """The morphism with these monomials, as a tuple of tuples.  Raises
+    ValueError unless there is at least one monomial and the variables
+    are 0..n for some n >= 0, each occurring exactly once."""
+    f = tuple(tuple(m) for m in monomials)
+    if not f:
+        raise ValueError("target arity must be at least 1")
+    seen = sorted(v for m in f for v in m)
+    if not seen:
+        raise ValueError("source arity must be at least 1")
+    if seen != list(range(len(seen))):
+        raise ValueError("monomials must use each variable exactly once")
+    return f
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "monomials", tuple(tuple(m) for m in self.monomials))
-        seen = sorted(v for m in self.monomials for v in m)
-        if seen != list(range(len(seen))):
-            raise ValueError("monomials must use each variable exactly once")
-        if not self.monomials:
-            raise ValueError("target arity must be at least 1")
 
-    @property
-    def source_arity(self):
-        return sum(len(m) for m in self.monomials)
-
-    @property
-    def target_arity(self):
-        return len(self.monomials)
-
-    @property
-    def source_n(self):
-        return self.source_arity - 1
-
-    @property
-    def target_n(self):
-        return self.target_arity - 1
-
-    def __str__(self):
-        return format_morphism(self)
+def arity(f):
+    """The source arity n + 1 of f: [n] -> [m]."""
+    return sum(len(m) for m in f)
 
 
 def identity(n):
-    return DeltaSMorphism(tuple((i,) for i in range(n + 1)))
+    return tuple((i,) for i in range(n + 1))
 
 
 def transposition(n, i):
@@ -73,12 +61,12 @@ def transposition(n, i):
         raise IndexError("transposition index out of range")
     mon = [(j,) for j in range(n + 1)]
     mon[i], mon[i + 1] = mon[i + 1], mon[i]
-    return DeltaSMorphism(tuple(mon))
+    return tuple(mon)
 
 
 def rotation(n):
     """The cyclic rotation t: a_0 x ... x a_n -> a_n x a_0 x ... x a_{n-1}."""
-    return DeltaSMorphism(((n,),) + tuple((j,) for j in range(n)))
+    return ((n,),) + tuple((j,) for j in range(n))
 
 
 def face_embedding(n, i):
@@ -93,7 +81,7 @@ def face_embedding(n, i):
             mon.append(())
         else:
             mon.append((l - 1,))
-    return DeltaSMorphism(tuple(mon))
+    return tuple(mon)
 
 
 def multiply_map(n, i):
@@ -108,7 +96,7 @@ def multiply_map(n, i):
             mon.append((i, i + 1))
         else:
             mon.append((l + 1,))
-    return DeltaSMorphism(tuple(mon))
+    return tuple(mon)
 
 
 def permutation_morphism(sigma):
@@ -117,22 +105,22 @@ def permutation_morphism(sigma):
     inv = [0] * n1
     for j, s in enumerate(sigma):
         inv[s] = j
-    return DeltaSMorphism(tuple((inv[l],) for l in range(n1)))
+    return tuple((inv[l],) for l in range(n1))
 
 
 def compose(g, f):
     """g o f: substitute f's monomials for g's variables."""
-    if f.target_arity != g.source_arity:
+    if len(f) != arity(g):
         raise ArityMismatchError(
             "cannot compose: f targets arity %d, g expects %d"
-            % (f.target_arity, g.source_arity))
+            % (len(f), arity(g)))
     mon = []
-    for gm in g.monomials:
+    for gm in g:
         word = []
         for var in gm:
-            word.extend(f.monomials[var])
+            word.extend(f[var])
         mon.append(tuple(word))
-    return DeltaSMorphism(tuple(mon))
+    return tuple(mon)
 
 
 def factorize(f):
@@ -142,18 +130,18 @@ def factorize(f):
     concatenation of f's monomials; g has the same fiber sizes with
     consecutive variables.
     """
-    sigma = [0] * f.source_arity
+    sigma = [0] * arity(f)
     pos = 0
-    for m in f.monomials:
+    for m in f:
         for var in m:
             sigma[var] = pos
             pos += 1
     mon = []
     start = 0
-    for m in f.monomials:
+    for m in f:
         mon.append(tuple(range(start, start + len(m))))
         start += len(m)
-    return tuple(sigma), DeltaSMorphism(tuple(mon))
+    return tuple(sigma), tuple(mon)
 
 
 # textual syntax ---------------------------------------------------------
@@ -161,7 +149,7 @@ def factorize(f):
 def format_morphism(f):
     """Render e.g. (x1 x0)|(x2); an empty monomial prints as 1."""
     bits = []
-    for m in f.monomials:
+    for m in f:
         if m:
             bits.append("(%s)" % " ".join("x%d" % v for v in m))
         else:
@@ -170,7 +158,8 @@ def format_morphism(f):
 
 
 def parse_morphism(text):
-    """Parse the textual syntax produced by format_morphism."""
+    """Parse the textual syntax produced by format_morphism, and check the
+    normal form (morphism)."""
     mon = []
     for chunk in text.strip().split("|"):
         chunk = chunk.strip()
@@ -186,7 +175,7 @@ def parse_morphism(text):
                 raise ValueError("bad variable %r" % tok)
             word.append(int(tok[1:]))
         mon.append(tuple(word))
-    return DeltaSMorphism(tuple(mon))
+    return morphism(mon)
 
 
 # the symmetric bar construction ----------------------------------------
@@ -194,21 +183,21 @@ def parse_morphism(text):
 def b_sym_action(A, f, v):
     """Apply a Delta-S morphism to an element v of A^{(n+1)} in the
     symmetric bar construction over A: a dict word of basis indices ->
-    scalar, every word of length f.source_arity.  Returns the image, a
-    dict of words of length f.target_arity.
+    scalar, every word of length arity(f).  Returns the image, a dict of
+    words of length len(f).
 
     Each output slot is the ordered product in A of the inputs named by
     the corresponding monomial; an empty monomial contributes the unit.
     """
     out = {}
+    source = arity(f)
     for word, c in v.items():
-        if len(word) != f.source_arity:
+        if len(word) != source:
             raise ArityMismatchError(
                 "element word of arity %d, morphism expects %d"
-                % (len(word), f.source_arity))
+                % (len(word), source))
         # per-slot products, each a sparse vector in A
-        slots = [A.multiply_word([word[var] for var in m])
-                 for m in f.monomials]
+        slots = [A.multiply_word([word[var] for var in m]) for m in f]
         # distribute over the tensor factors
         partial = [((), c)]
         for slot in slots:
@@ -221,40 +210,13 @@ def b_sym_action(A, f, v):
 
 # the functor to free groups --------------------------------------------
 
-@dataclass(frozen=True)
-class FreeGroupHom:
-    """Homomorphism of free groups given by positive words on generators."""
-    domain_rank: int
-    codomain_rank: int
-    images: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "images", tuple(tuple(w) for w in self.images))
-        if len(self.images) != self.domain_rank:
-            raise ValueError("need one image word per domain generator")
-        for w in self.images:
-            for v in w:
-                if not 0 <= v < self.codomain_rank:
-                    raise ValueError("image uses unknown generator")
-
-    def then(self, other):
-        """Composite self followed by other (domains must chain)."""
-        if self.codomain_rank != other.domain_rank:
-            raise ValueError("cannot compose free group homs")
-        images = []
-        for w in self.images:
-            word = []
-            for v in w:
-                word.extend(other.images[v])
-            images.append(tuple(word))
-        return FreeGroupHom(self.domain_rank, other.codomain_rank,
-                            tuple(images))
-
-
 def psi_sym(f):
-    """The contravariant assignment <m+1> -> <n+1>, X_j -> j-th monomial."""
-    return FreeGroupHom(f.target_arity, f.source_arity, f.monomials)
+    """The contravariant assignment <m+1> -> <n+1> to free groups: the
+    homomorphism X_j -> (j-th monomial of f), as the tuple of its image
+    words.  A positive-word homomorphism carries exactly the data of the
+    normal form, so this is f itself.  It stays a function because the
+    CLI op deltaS psi calls it and perfbench/spans.py wraps it by name."""
+    return f
 
 
 # the cyclic operators behind hc0 ----------------------------------------
@@ -269,8 +231,7 @@ def hochschild_face(n, i):
         raise IndexError("face index out of range")
     if i < n:
         return multiply_map(n, i)
-    mon = [(n, 0)] + [(j,) for j in range(1, n)]
-    return DeltaSMorphism(tuple(mon))
+    return ((n, 0),) + tuple((j,) for j in range(1, n))
 
 
 # degree-0 coequalizers --------------------------------------------------
@@ -342,7 +303,7 @@ def _coequalizer_space(A, arity_cap, cyclic):
               for w in product(range(A.dim), repeat=n + 1)]
     relations = []
     for n, f in generators:
-        m = f.target_n
+        m = len(f) - 1
         for w in product(range(A.dim), repeat=n + 1):
             rel = {(n, w): 1}
             for iw, c in b_sym_action(A, f, {w: 1}).items():
@@ -353,20 +314,10 @@ def _coequalizer_space(A, arity_cap, cyclic):
 
 
 def hs0_coequalizer(A, arity_cap):
-    """Truncated coequalizer computing HS_0(A).
-
-    Returns (dimension, comparison matrix), the matrix expressing the
-    induced surjection onto the degree-0 symmetric quotient of A (columns
-    indexed by the coequalizer quotient basis, rows by the quotient of A).
-    """
+    """Truncated coequalizer over the symmetric category: dim HS_0(A)."""
     if arity_cap < 1:
         raise ValueError("arity_cap must be >= 1")
-    quo = _coequalizer_space(A, arity_cap, cyclic=False)
-    aab = abelianization_quotient(A)
-    comparison = SparseMatrix.from_images(
-        quo.basis, aab.basis,
-        lambda label: aab.project(A.multiply_word(label[1])))
-    return quo.dim, comparison
+    return _coequalizer_space(A, arity_cap, cyclic=False).dim
 
 
 def hc0_coequalizer(A, arity_cap):

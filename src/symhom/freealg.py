@@ -81,9 +81,6 @@ class FreeDGAlgebra:
                 self.differential[name] = terms
         grading_shifts(self.gen_by_name, self.differential)
 
-    def word_hdeg(self, word):
-        return sum(self.gen_by_name[n].hdeg for n in word)
-
     def d_gen(self, name):
         return self.differential.get(name, {})
 

@@ -20,23 +20,27 @@ from .linalg import SparseMatrix, add_term
 __all__ = ["rep_n", "CyclicQuotientComplex", "trace_chain_map", "hr_n"]
 
 
-def _entry_name(gname, a, b, n):
-    """Name of the (a, b) entry of g's n x n matrix; both indices are
-    padded to the width of n, so that no two entries share a name."""
+def _entry_names(R, n):
+    """names[g][a][b]: the name of the (a, b) entry of the n x n matrix of
+    each generator g of R.  Both indices are padded to the width of n, so
+    that no two entries share a name."""
     width = len(str(n))
-    return "%s:%0*d%0*d" % (gname, width, a + 1, width, b + 1)
+    return {g: [["%s:%0*d%0*d" % (g, width, a + 1, width, b + 1)
+                 for b in range(n)] for a in range(n)]
+            for g in R.gen_by_name}
 
 
-def _entry_words(word, n, a, b):
+def _entry_words(names, word, a, b):
     """The (a, b) entry of the product of the generic matrices of a word's
     letters: one word of entry names per index path a = c_0, ..., c_k = b
     (the empty word is the identity matrix)."""
     if not word:
         return [()] if a == b else []
+    n = len(names[word[0]])
     paths = ((a,) + inner + (b,)
              for inner in product(range(n), repeat=len(word) - 1))
-    return [tuple(_entry_name(g, c[i], c[i + 1], n)
-                  for i, g in enumerate(word)) for c in paths]
+    return [tuple(names[g][c[i]][c[i + 1]] for i, g in enumerate(word))
+            for c in paths]
 
 
 def rep_n(R, n):
@@ -44,16 +48,17 @@ def rep_n(R, n):
     n^2 generators g:ab per generator g of R."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    names = _entry_names(R, n)
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    gens = [GeneratorSpec(_entry_name(g.name, a, b, n), g.hdeg, g.weight)
+    gens = [GeneratorSpec(names[g.name][a][b], g.hdeg, g.weight)
             for g in R.generators for a, b in pairs]
     diff = {}
     for name, dg in R.differential.items():
         for a, b in pairs:
             # distinct (term, path) pairs give distinct words
-            diff[_entry_name(name, a, b, n)] = {
+            diff[names[name][a][b]] = {
                 entry: c for word, c in dg.items()
-                for entry in _entry_words(word, n, a, b)}
+                for entry in _entry_words(names, word, a, b)}
     return CommDGAlgebra(gens, diff)
 
 
@@ -145,11 +150,12 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
     """
     cyc = CyclicQuotientComplex(R)
     S = rep_n(R, n)
+    names = _entry_names(R, n)
 
     def trace(word):
         out = {}
         for a in range(n):
-            for entry in _entry_words(word, n, a, a):
+            for entry in _entry_words(names, word, a, a):
                 sign, mono = S.normalize(entry)
                 if sign:
                     add_term(out, mono, sign)

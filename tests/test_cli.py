@@ -515,6 +515,8 @@ def test_json_path_with_a_colon_is_a_path(tmp_path, capsys, monkeypatch):
     ["deltaS", "compose", "(x0)"],
     ["deltaS", "factor", "(x0)|(x1)", "extra"],
     ["deltaS", "psi", "(x0)", "(x0)"],
+    ["deltaS", "factor", "1"],
+    ["deltaS", "compose", "(x0 x0)", "(x0)"],
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     try:

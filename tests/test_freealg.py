@@ -85,7 +85,7 @@ def test_derivation_leibniz_rule():
         word = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
         a = {word: 1}
         b = rand_poly()
-        sign = -1 if R.word_hdeg(word) % 2 else 1
+        sign = -1 if sum(R.gen_by_name[g].hdeg for g in word) % 2 else 1
         rhs = _mul(R.d(a), b)
         for w, c in _mul(a, R.d(b)).items():
             add_term(rhs, w, sign * c)

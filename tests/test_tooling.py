@@ -2,7 +2,8 @@
 benchmark's tracer wraps symhom calls by name (a rename would silently
 drop spans from its metrics), the README lists the CLI built-ins and
 the package's modules, and its CLI block holds commands the parser
-accepts.
+accepts.  The CLI prints, byte for byte, the outputs recorded in
+perfbench/oracles.json: they are the behaviour contract of a refactor.
 Inside the package, every import is used and every export exists, and a
 table computation leaves no reference cycle behind: a cycle would keep
 its per-call caches alive until the cyclic collector runs."""
@@ -12,6 +13,7 @@ import gc
 import glob
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -30,14 +32,21 @@ from symhom.repfun import hr_n, rep_n, trace_chain_map
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.dirname(symhom.__file__)
-SPANS = os.path.join(ROOT, "perfbench", "spans.py")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 README = os.path.join(ROOT, "README.md")
 
 
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_trace_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench("spans")
     missing = []
     for layer, path in spans.TARGETS:
         owner = importlib.import_module("symhom." + layer)
@@ -46,6 +55,20 @@ def test_every_trace_target_resolves():
         if not callable(owner):
             missing.append("%s.%s" % (layer, path))
     assert missing == []
+
+
+def test_cli_outputs_match_the_recorded_oracles(tmp_path):
+    workloads = load_perfbench("workloads")
+    with open(os.path.join(PERFBENCH, "oracles.json")) as fh:
+        expected = json.load(fh)["cli-mix"]
+    wrong = []
+    for i, (spec, want) in enumerate(sorted(expected.items())):
+        cache = tmp_path / str(i)  # a fresh cache, so every hs job computes
+        cache.mkdir()
+        got = workloads.run_cli(cli.main, workloads.cli_argv(spec, str(cache)))
+        if list(got) != want:
+            wrong.append(spec)
+    assert len(expected) >= 100 and wrong == []
 
 
 def readme_builtins(path=README):
