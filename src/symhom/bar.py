@@ -93,42 +93,31 @@ def _singleton_layers(tree, depth, cache):
     return mask
 
 
-def _is_degenerate(mono, n, cache):
-    """True when the monomial lies in the image of some degeneracy; the
-    unit monomial is constant, hence degenerate."""
-    if n == 0:
-        return False
-    common = -1
-    for t in mono:
-        common &= _singleton_layers(t, n, cache)
-        if not common:
-            return False
-    return True
-
-
 def _weight_monomials(A, ideal, n, weight, cache):
-    """Normalized monomials of simplicial degree n and exact weight."""
+    """Normalized monomials of simplicial degree n and exact weight.  The
+    search carries the AND of the factors' _singleton_layers masks: it is
+    nonzero on a degenerate monomial, and on the unit monomial at n >= 1."""
     key = ("mono", n, weight)
     if key in cache:
         return cache[key]
     # all depth-n trees of weight <= weight, lightest first, so the scan
     # stops at the first tree heavier than what remains
-    pool = [(w, t) for w in range(1, weight + 1)
+    pool = [(w, t, _singleton_layers(t, n, cache))
+            for w in range(1, weight + 1)
             for t in _trees(A, ideal, n, w, cache)]
     out = []
-    stack = [(0, weight, ())]
+    stack = [(0, weight, (), -1 if n else 0)]
     while stack:
-        start, remaining, acc = stack.pop()
+        start, remaining, acc, common = stack.pop()
         if remaining == 0:
-            mono = tuple(sorted(acc))
-            if not _is_degenerate(mono, n, cache):
-                out.append(mono)
+            if not common:
+                out.append(tuple(sorted(acc)))
             continue
         for idx in range(start, len(pool)):
-            w, t = pool[idx]
+            w, t, mask = pool[idx]
             if w > remaining:
                 break
-            stack.append((idx, remaining - w, acc + (t,)))
+            stack.append((idx, remaining - w, acc + (t,), common & mask))
     out.sort()
     cache[key] = out
     return out

@@ -12,8 +12,9 @@ sorted differential must shift weight by one fixed amount (0 for honest
 weight gradings, -1 for the abelianized cobar of a plain Lie algebra).
 
 homology_table hands its blocks to linalg.homology_by_blocks, which
-builds and ranks each block once; the block bases are enumerated once per
-call through a memo that lives only for that call.
+builds and ranks each block once.  The block bases come from one
+enumeration of the box the call needs (monomial_bases), which visits each
+monomial of the box once and lives only for that call.
 """
 
 from .betti import BettiTable
@@ -127,47 +128,49 @@ class CommDGAlgebra:
 
     # bases and homology -------------------------------------------------
 
+    def monomial_bases(self, hdeg_cap, weight_cap):
+        """{(h, w): sorted basis of block (h, w)} for every nonempty block
+        with h <= hdeg_cap and w <= weight_cap: one search up from the
+        unit monomial files each monomial of the box under its own (h, w),
+        so each is visited once."""
+        gens = [(g.hdeg, g.weight, odd)
+                for g, odd in zip(self.generators, self.parities)]
+        out = {}
+        stack = [(0, 0, 0, ())] if min(hdeg_cap, weight_cap) >= 0 else []
+        while stack:
+            start, h, w, mono = stack.pop()
+            out.setdefault((h, w), []).append(mono)
+            for i in range(start, len(gens)):
+                gh, gw, odd = gens[i]
+                if h + gh <= hdeg_cap and w + gw <= weight_cap:
+                    # an odd generator squares to zero: never repeat it
+                    stack.append((i + odd, h + gh, w + gw, mono + (i,)))
+        return {key: sorted(basis) for key, basis in out.items()}
+
     def monomial_basis(self, hdeg, weight):
         """Sorted basis of the (hdeg, weight) block."""
-        gens = self.generators
-        out = []
-        stack = [(0, hdeg, weight, ())]
-        while stack:
-            start, h, w, acc = stack.pop()
-            if h == 0 and w == 0:
-                out.append(acc)
-                continue
-            for i in range(start, len(gens)):
-                g = gens[i]
-                if g.weight <= w and g.hdeg <= h:
-                    stack.append((i + 1 if self.parities[i] else i,
-                                  h - g.hdeg, w - g.weight, acc + (i,)))
-        out.sort()
-        return out
+        return self.monomial_bases(hdeg, weight).get((hdeg, weight), [])
 
-    def block_matrix(self, hdeg, weight, basis=None):
-        """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift).
-
-        basis(h, w) supplies the block bases; it defaults to
-        monomial_basis, and homology_table passes a per-call memo of it.
-        """
-        basis = basis or self.monomial_basis
+    def block_matrix(self, hdeg, weight, bases=None):
+        """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift),
+        on the buckets of a monomial_bases dict whose box holds both blocks
+        (by default the box below (hdeg, weight))."""
+        if bases is None:
+            bases = self.monomial_bases(hdeg, weight)
         return SparseMatrix.from_images(
-            basis(hdeg, weight), basis(hdeg - 1, weight + self.weight_shift),
+            bases.get((hdeg, weight), []),
+            bases.get((hdeg - 1, weight + self.weight_shift), []),
             lambda mono: self.d({mono: 1}))
 
     def _homology(self, positions):
-        """{(h, w): dim} through the shared block driver; each basis is
-        enumerated once per call."""
-        bases = {}
-
-        def basis(h, w):
-            if (h, w) not in bases:
-                bases[(h, w)] = self.monomial_basis(h, w)
-            return bases[(h, w)]
-
+        """{(h, w): dim} through the shared block driver.  The blocks at
+        (h, w) reach degree h + 1 and weight w - weight_shift (the shift
+        is <= 0), so one monomial_bases call supplies every basis."""
+        bases = self.monomial_bases(
+            max((h for h, _ in positions), default=-1) + 1,
+            max((w for _, w in positions), default=0) - self.weight_shift)
         return homology_by_blocks(
-            positions, lambda h, w: self.block_matrix(h, w, basis),
+            positions, lambda h, w: self.block_matrix(h, w, bases),
             self.weight_shift)
 
     def homology_table(self, deg_cap, weight_cap):
@@ -184,8 +187,8 @@ class CommDGAlgebra:
         """
         if self.weight_shift != 0:
             raise ValueError("Euler check needs a weight-preserving d")
-        dims = [len(self.monomial_basis(h, weight))
-                for h in range(deg_cap + 2)]
+        bases = self.monomial_bases(deg_cap + 1, weight)
+        dims = [len(bases.get((h, weight), [])) for h in range(deg_cap + 2)]
         if dims[deg_cap + 1]:
             raise ValueError("weight %d block extends beyond deg_cap" % weight)
         chi_complex = sum((-1) ** h * dims[h] for h in range(deg_cap + 1))

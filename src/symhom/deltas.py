@@ -171,7 +171,7 @@ def parse_morphism(text):
         inner = chunk[1:-1].split()
         word = []
         for tok in inner:
-            if not tok.startswith("x"):
+            if tok[0] != "x" or not (tok[1:].isascii() and tok[1:].isdigit()):
                 raise ValueError("bad variable %r" % tok)
             word.append(int(tok[1:]))
         mon.append(tuple(word))

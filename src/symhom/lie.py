@@ -170,10 +170,14 @@ class CECoalgebra:
              for i, vec in lie.differential.items()})
         self.parities = self.alg.parities
 
-    def words_of_hdeg(self, h):
-        """All wedge words of homological degree h (sorted tuples)."""
-        return sorted(word for ell in range(h + 1)
-                      for word in self.alg.monomial_basis(h, ell))
+    def words_by_hdeg(self, cap):
+        """{h: sorted wedge words of homological degree h} for 0 <= h <=
+        cap, from one monomial_bases call (a word's weight is its length,
+        at most its degree)."""
+        bases = self.alg.monomial_bases(cap, cap)
+        return {h: sorted(word for (hh, _), words in bases.items()
+                          if hh == h for word in words)
+                for h in range(cap + 1)}
 
     def diff(self, word):
         """CE differential of a wedge word: dict word -> coeff."""
@@ -207,8 +211,8 @@ class CECoalgebra:
         return out
 
     def check_d_squared(self):
-        for h in range(self.cap + 1):
-            for w in self.words_of_hdeg(h):
+        for words in self.words_by_hdeg(self.cap).values():
+            for w in words:
                 acc = {}
                 for w2, c in self.diff(w).items():
                     for w3, c2 in self.diff(w2).items():
@@ -238,8 +242,9 @@ def _ce_dims(C, positions, words, shift):
 def ce_homology(a, cap):
     """Dimensions of CE homology H_i(a; k) for i = 0..cap (unreduced)."""
     C = ce_complex(a, cap + 1)
+    words = C.words_by_hdeg(cap + 1)
     dims = _ce_dims(C, [(h, 0) for h in range(cap + 1)],
-                    lambda h, _: C.words_of_hdeg(h), 0)
+                    lambda h, _: words.get(h, []), 0)
     return [dims[(h, 0)] for h in range(cap + 1)]
 
 
@@ -255,10 +260,10 @@ def _ce_homology_bigraded(a, cap):
             "differential")
     shift = -1 if a.bracket else 0
     C = ce_complex(a, cap + 1)
-    basis = C.alg.monomial_basis
-    positions = [(h, ell) for h in range(cap + 1) for ell in range(h + 1)
-                 if basis(h, ell)]
-    dims = _ce_dims(C, positions, basis, shift)
+    bases = C.alg.monomial_bases(cap + 1, cap + 1)
+    positions = sorted(pos for pos in bases if pos[0] <= cap)
+    dims = _ce_dims(C, positions, lambda h, ell: bases.get((h, ell), []),
+                    shift)
     return {pos: dim for pos, dim in dims.items() if dim}
 
 
@@ -278,8 +283,9 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
     """
     gens = []
     gen_words = []
+    words = C.words_by_hdeg(deg_cap + 1)
     for h in range(1, deg_cap + 2):
-        for w in C.words_of_hdeg(h):
+        for w in words[h]:
             if len(w) <= weight_cap:
                 gens.append(GeneratorSpec(_word_name(C, w), h - 1, len(w)))
                 gen_words.append(w)
@@ -324,12 +330,9 @@ def hs_env_closed_form(a, deg_cap, weight_cap):
         for r in range(dim):
             gens.append(GeneratorSpec("u%d_%d_%d" % (h, ell, r),
                                       h - 1, ell))
-    S = CommDGAlgebra(gens)
-    table = BettiTable(deg_cap, weight_cap)
-    for h in range(deg_cap + 1):
-        for w in range(weight_cap + 1):
-            table.set(h, w, len(S.monomial_basis(h, w)))
-    return table
+    bases = CommDGAlgebra(gens).monomial_bases(deg_cap, weight_cap)
+    return BettiTable(deg_cap, weight_cap,
+                      {pos: len(basis) for pos, basis in bases.items()})
 
 
 # built-in Lie algebras --------------------------------------------------

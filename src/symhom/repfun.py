@@ -161,8 +161,9 @@ def trace_chain_map(R, n, deg_cap, weight_cap):
                     add_term(out, mono, sign)
         return out
 
+    bases = S.monomial_bases(deg_cap, weight_cap)
     blocks = {(h, w): SparseMatrix.from_images(cyc.basis(h, w),
-                                               S.monomial_basis(h, w), trace)
+                                               bases.get((h, w), []), trace)
               for h in range(deg_cap + 1) for w in range(weight_cap + 1)}
     return cyc, S, blocks
 

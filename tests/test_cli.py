@@ -505,6 +505,13 @@ def test_json_path_with_a_colon_is_a_path(tmp_path, capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("tok", ["x", "xa", "x+1", "x-1"])
+def test_deltas_bad_variable_names_the_token(capsys, tok):
+    code, out, err = run(capsys, "deltaS", "factor", "(%s)" % tok)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: deltaS factor: bad variable %r" % tok
+
+
 @pytest.mark.parametrize("argv", [
     ["hs", "no-such-input"],
     ["hs", "sl2", "--pipeline", "bar"],

@@ -9,6 +9,7 @@ from symhom.freealg import (FreeDGAlgebra, GeneratorSpec,
                             dual_numbers_resolution, grading_shifts)
 from symhom.lie import ce_complex, cobar, sl2
 from symhom.rationals import QQ
+from symhom.repfun import rep_n
 
 
 def test_sort_word_signs():
@@ -193,16 +194,54 @@ def test_euler_check_guards():
 def test_homology_table_keeps_no_cache_between_calls():
     S = _dual_abelianized(5)
     calls = []
-    real = S.monomial_basis
+    real = S.monomial_bases
 
-    def counting(h, w):
-        calls.append((h, w))
-        return real(h, w)
+    def counting(hdeg_cap, weight_cap):
+        calls.append((hdeg_cap, weight_cap))
+        return real(hdeg_cap, weight_cap)
 
-    S.monomial_basis = counting
-    S.homology_table(4, 6)
-    first = len(calls)
-    S.homology_table(4, 6)
-    assert first and len(calls) == 2 * first
-    # each basis is enumerated once per call
-    assert len(set(calls[:first])) == first
+    S.monomial_bases = counting
+    first = S.homology_table(4, 6)
+    # one enumeration of the box the call needs: degree 5, weight 6
+    assert calls == [(5, 6)]
+    # a second call enumerates again and gives the same table
+    assert S.homology_table(4, 6) == first
+    assert calls == [(5, 6), (5, 6)]
+
+
+def _per_block_search(S, hdeg, weight):
+    """The per-block depth-first search monomial_bases replaced: every
+    partial monomial below (hdeg, weight), kept when it lands on it."""
+    out = []
+    stack = [(0, hdeg, weight, ())]
+    while stack:
+        start, h, w, acc = stack.pop()
+        if h == 0 and w == 0:
+            out.append(acc)
+            continue
+        for i in range(start, len(S.generators)):
+            g = S.generators[i]
+            if g.weight <= w and g.hdeg <= h:
+                stack.append((i + 1 if S.parities[i] else i,
+                              h - g.hdeg, w - g.weight, acc + (i,)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dual_abelianized(6),
+    lambda: rep_n(dual_numbers_resolution(4), 2),
+    lambda: ce_complex(sl2(), 5).alg,  # odd generators
+    lambda: abelianize(cobar(ce_complex(sl2(), 6), 4, 5)),  # shift -1
+], ids=["dual", "rep2", "ce-sl2", "cobar-sl2"])
+def test_monomial_bases_match_the_per_block_search(make):
+    S = make()
+    hcap, wcap = 5, 6
+    bases = S.monomial_bases(hcap, wcap)
+    assert all(bases.values())  # only nonempty blocks are filed
+    assert all(0 <= h <= hcap and 0 <= w <= wcap for h, w in bases)
+    for h in range(-1, hcap + 1):
+        for w in range(-1, wcap + 1):
+            expect = _per_block_search(S, h, w)
+            assert bases.get((h, w), []) == expect, (h, w)
+            assert S.monomial_basis(h, w) == expect, (h, w)
+    assert S.monomial_bases(-1, wcap) == S.monomial_bases(hcap, -1) == {}
