@@ -41,70 +41,44 @@ def _sort_collapse(d):
     return out
 
 
-def _leaf_weights(A):
-    u, ideal = A.augmented_split()
-    if A.weights is None:
-        raise ValueError("bar pipeline needs a weight-graded algebra")
-    for i in ideal:
-        if A.weights[i] < 1:
-            raise ValueError(
-                "augmentation-ideal basis element %s has weight < 1"
-                % A.basis[i])
-    return u, ideal
-
-
 def _trees(A, ideal, depth, weight, cache):
-    """All depth-`depth` trees of exactly the given weight, sorted.  A
-    tree of depth >= 1 is a first child of some weight w1 followed by the
-    children of a same-depth tree of the remaining weight (none when w1
-    is the whole weight)."""
+    """All depth-`depth` trees of exactly the given weight, sorted, each
+    paired with the bitmask of its layers whose brackets are all
+    singletons (bit j - 1 for layer j).  A tree of depth >= 1 is a first
+    child of some weight w1 followed by the children of a same-depth tree
+    of the remaining weight (none when w1 is the whole weight); its layer
+    j + 1 is all singletons when the first child's layer j is and the
+    rest's layer j + 1 is, and the empty rest counts as all singletons."""
     key = (depth, weight)
     if key in cache:
         return cache[key]
     if depth == 0:
-        out = sorted(i for i in ideal if A.weights[i] == weight)
+        out = [(i, 0) for i in sorted(ideal) if A.weights[i] == weight]
     else:
         out = []
         for w1 in range(1, weight + 1):
             rests = (_trees(A, ideal, depth, weight - w1, cache)
-                     if w1 < weight else [()])
-            for child in _trees(A, ideal, depth - 1, w1, cache):
-                out += [(child,) + rest for rest in rests]
+                     if w1 < weight else [((), -1)])
+            for child, cmask in _trees(A, ideal, depth - 1, w1, cache):
+                out += [((child,) + rest, (cmask & rmask >> 1) << 1
+                         | (not rest))
+                        for rest, rmask in rests]
         out.sort()
     cache[key] = out
     return out
 
 
-def _singleton_layers(tree, depth, cache):
-    """Bitmask of the layers whose brackets are all singletons (bit j - 1
-    for layer j), memoized per (tree, depth) in the per-call cache."""
-    if depth == 0:
-        return 0
-    key = ("layers", tree, depth)
-    if key in cache:
-        return cache[key]
-    mask = 1 if len(tree) == 1 else 0
-    if depth > 1:
-        deeper = -1
-        for child in tree:
-            deeper &= _singleton_layers(child, depth - 1, cache)
-        mask |= deeper << 1
-    cache[key] = mask
-    return mask
-
-
 def _weight_monomials(A, ideal, n, weight, cache):
     """Normalized monomials of simplicial degree n and exact weight.  The
-    search carries the AND of the factors' _singleton_layers masks: it is
+    search carries the AND of the factors' singleton-layer masks: it is
     nonzero on a degenerate monomial, and on the unit monomial at n >= 1."""
     key = ("mono", n, weight)
     if key in cache:
         return cache[key]
     # all depth-n trees of weight <= weight, lightest first, so the scan
     # stops at the first tree heavier than what remains
-    pool = [(w, t, _singleton_layers(t, n, cache))
-            for w in range(1, weight + 1)
-            for t in _trees(A, ideal, n, w, cache)]
+    pool = [(w, t, mask) for w in range(1, weight + 1)
+            for t, mask in _trees(A, ideal, n, w, cache)]
     out = []
     stack = [(0, weight, (), -1 if n else 0)]
     while stack:
@@ -126,7 +100,7 @@ def _weight_monomials(A, ideal, n, weight, cache):
 def bar_level_basis(A, n, weight_cap, budget=DEFAULT_BUDGET):
     """Basis of the normalized abelianized bar level n up to weight_cap: the
     list of its monomials, by weight."""
-    u, ideal = _leaf_weights(A)
+    _, ideal = A.augmented_split()
     cache = {}
     basis = []
     for w in range(weight_cap + 1):
@@ -147,8 +121,8 @@ def _flatten(tree, i):
 
 def _multiply_innermost(A, tree, depth):
     """Replace each innermost bracket by its product: dict tree -> coeff.
-    The product of ideal letters has no unit part: _leaf_weights puts
-    them at weight >= 1, and products add weight."""
+    The product of ideal letters has no unit part: they have weight >= 1
+    (FinDimAlgebra.augmented_split), and products add weight."""
     if depth == 1:
         return A.multiply_word(tree)
     out = {(): 1}
@@ -215,7 +189,7 @@ def face_map(A, n, i, element):
     """Apply face i to an element (dict monomial -> coeff) of level n."""
     if not 0 <= i <= n or n < 1:
         raise IndexError("face (%d, %d) out of range" % (n, i))
-    _leaf_weights(A)
+    A.augmented_split()
     out = {}
     for mono, c in element.items():
         plain = tuple((t, 0, 0) for t in mono)
@@ -229,13 +203,13 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
 
     For n >= 2 each tensor factor is expanded into a generic n x n
     matrix entry degreewise, computing homology with k^n coefficients.
-    Exact per (degree, weight) block within the caps; requires an
-    augmented, weight-graded A whose truncation (if any) covers
-    weight_cap.
+    Exact per (degree, weight) block within the caps; requires a
+    connected weight-graded A (FinDimAlgebra.augmented_split) whose
+    truncation (if any) covers weight_cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, ideal = _leaf_weights(A)
+    _, ideal = A.augmented_split()
     if A.truncation is not None and A.truncation < weight_cap:
         raise ValueError("algebra truncated below the requested weight cap")
     cache = {}

@@ -12,8 +12,7 @@ truncated at a weight bound, with products beyond the bound discarded
 import itertools
 import json
 
-from .linalg import add_term, exact, exact_vector
-from .rationals import qq
+from .linalg import add_term, exact_vector
 
 __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
            "upper_triangular_algebra", "truncated_poly_algebra",
@@ -23,8 +22,7 @@ __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
 class FinDimAlgebra:
     """Unital associative algebra with explicit structure constants."""
 
-    def __init__(self, basis, unit, mult, weights=None, augmentation=None,
-                 truncation=None):
+    def __init__(self, basis, unit, mult, weights=None, truncation=None):
         self.basis = list(basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
@@ -43,10 +41,6 @@ class FinDimAlgebra:
                     raise ValueError("weight of %s must be an integer >= 0, "
                                      "got %r" % (b, w))
                 self.weights[self.index[b]] = w
-        self.augmentation = None
-        if augmentation is not None:
-            self.augmentation = {self.index[b]: exact(c)
-                                 for b, c in augmentation.items()}
         self.truncation = truncation
         if truncation is not None and self.weights is None:
             raise ValueError("truncation requires a weight grading")
@@ -116,39 +110,25 @@ class FinDimAlgebra:
                     "associativity fails on (%s, %s, %s)"
                     % (self.basis[i], self.basis[j], self.basis[k]))
 
-    # augmented structure (needed by the bar pipeline) --------------------
-
-    def unit_basis_index(self):
-        """Index of the unit when it is a single basis element, else None."""
-        if len(self.unit) == 1:
-            (i, c), = self.unit.items()
-            if c == 1:
-                return i
-        return None
-
     def augmented_split(self):
-        """(unit index, augmentation-ideal indices); raises if unavailable.
+        """(unit index, augmentation-ideal indices) of a connected
+        weight-graded algebra, the bar route's input; raises ValueError
+        on any other algebra.
 
-        Requires the unit to be a basis element and every other basis
-        element to lie in the kernel of the augmentation.
+        Connected means that the unit is a basis element of weight 0 and
+        every other basis element has weight >= 1.  The augmentation is
+        then the unit coefficient: its ideal is spanned by the other basis
+        elements, and holds their products, since products add weight.
         """
-        if self.augmentation is None:
-            raise ValueError("algebra has no augmentation")
-        u = self.unit_basis_index()
-        if u is None:
-            raise ValueError("unit is not a basis element")
-        if self.augmentation.get(u, 0) != 1:
-            raise ValueError("augmentation(unit) != 1")
-        ideal = []
-        for i in range(self.dim):
-            if i == u:
-                continue
-            if self.augmentation.get(i, 0):
-                raise ValueError(
-                    "basis element %s not in the augmentation ideal"
-                    % self.basis[i])
-            ideal.append(i)
-        return u, ideal
+        if self.weights is None:
+            raise ValueError("algebra is not connected graded: it has no "
+                             "weights")
+        zero = [i for i, w in enumerate(self.weights) if w == 0]
+        if len(zero) != 1 or self.unit != {zero[0]: 1}:
+            raise ValueError("algebra is not connected graded: the unit is "
+                             "not the one basis element of weight 0")
+        u, = zero
+        return u, [i for i in range(self.dim) if i != u]
 
     # serialization -------------------------------------------------------
 
@@ -167,9 +147,6 @@ class FinDimAlgebra:
         if self.weights is not None:
             data["weights"] = {b: self.weights[i]
                                for b, i in self.index.items()}
-        if self.augmentation is not None:
-            data["augmentation"] = {self.basis[i]: str(c)
-                                    for i, c in sorted(self.augmentation.items())}
         if self.truncation is not None:
             data["truncation"] = self.truncation
         return json.dumps(data, indent=2)
@@ -181,27 +158,19 @@ class FinDimAlgebra:
         index = {b: i for i, b in enumerate(basis)}
         mult = {}
         for bi, bj, vec in data["mult"]:
-            mult[(index[bi], index[bj])] = {index[bk]: qq(c)
+            mult[(index[bi], index[bj])] = {index[bk]: c
                                             for bk, c in vec.items()}
-        return cls(
-            basis,
-            {b: qq(c) for b, c in data["unit"].items()},
-            mult,
-            weights=data.get("weights"),
-            augmentation=({b: qq(c) for b, c in data["augmentation"].items()}
-                          if "augmentation" in data else None),
-            truncation=data.get("truncation"),
-        )
+        return cls(basis, data["unit"], mult, weights=data.get("weights"),
+                   truncation=data.get("truncation"))
 
 
 def dual_numbers_algebra():
-    """k[x]/(x^2), augmented and weight-graded with weight(x) = 1."""
+    """k[x]/(x^2), connected weight-graded with weight(x) = 1."""
     return FinDimAlgebra(
         ["1", "x"],
         {"1": 1},
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}},
         weights={"1": 0, "x": 1},
-        augmentation={"1": 1, "x": 0},
     )
 
 
@@ -267,7 +236,6 @@ def truncated_poly_algebra(weight_cap, nvars=1):
     return FinDimAlgebra(
         basis, {"1": 1}, mult,
         weights={name(e): sum(e) for e in exponents},
-        augmentation={name(e): (1 if not any(e) else 0) for e in exponents},
         truncation=weight_cap,
     )
 
@@ -297,6 +265,5 @@ def free_tensor_algebra(num_gens, weight_cap):
     return FinDimAlgebra(
         names, {"1": 1}, mult,
         weights={name(w): len(w) for w in words},
-        augmentation={name(w): (1 if w == "" else 0) for w in words},
         truncation=weight_cap,
     )

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .linalg import add_term, exact_vector
-from .rationals import qq
 
 __all__ = ["GeneratorSpec", "FreeDGAlgebra", "grading_shifts",
            "dual_numbers_resolution", "free_resolution_of_tensor_algebra"]
@@ -119,13 +118,21 @@ class FreeDGAlgebra:
 
     @classmethod
     def from_json(cls, text):
+        """The algebra of a to_json text, checked to be a resolution's
+        presentation: d(d(g)) = 0 on every generator.  The constructor
+        does not check it, so that a deliberately broken differential (a
+        negative control) can still be built."""
         data = json.loads(text)
         gens = [GeneratorSpec(g["name"], g["hdeg"], g["weight"])
                 for g in data["generators"]]
         diff = {}
         for name, terms in data.get("differential", []):
-            diff[name] = {tuple(w): qq(c) for w, c in terms}
-        return cls(gens, diff)
+            diff[name] = {tuple(w): c for w, c in terms}
+        alg = cls(gens, diff)
+        for name in alg.differential:
+            if alg.d(alg.d_gen(name)):
+                raise ValueError("d(d(%s)) != 0" % name)
+        return alg
 
 
 def dual_numbers_resolution(i_max):

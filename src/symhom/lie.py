@@ -19,7 +19,6 @@ from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
 from .freealg import FreeDGAlgebra, GeneratorSpec
 from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
-from .rationals import qq
 
 import json
 
@@ -141,11 +140,11 @@ class DGLie:
         index = {n: i for i, n in enumerate(names)}
         bracket = {}
         for xi, xj, vec in data.get("bracket", []):
-            bracket[(index[xi], index[xj])] = {index[xk]: qq(c)
+            bracket[(index[xi], index[xj])] = {index[xk]: c
                                                for xk, c in vec.items()}
         diff = {}
         for xi, vec in data.get("differential", {}).items():
-            diff[index[xi]] = {index[xk]: qq(c) for xk, c in vec.items()}
+            diff[index[xi]] = {index[xk]: c for xk, c in vec.items()}
         return cls(names, hdegs, bracket, diff)
 
 

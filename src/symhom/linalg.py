@@ -57,10 +57,15 @@ class CompositionNonZeroError(Exception):
 def exact(x):
     """x as an exact scalar: an int when it is integral, else a Fraction.
 
-    Accepts ints, Fractions and anything QQ accepts ("p/q" strings,
-    floats, which convert exactly)."""
+    Accepts ints, Fractions and anything QQ accepts ("p/q" and decimal
+    strings, floats, which convert exactly).  A zero denominator ("1/0")
+    or an infinite float is a ValueError, as any other bad scalar is."""
     if type(x) is not int:
-        x = QQ(x)
+        try:
+            x = QQ(x)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError("scalar %r is not a rational number"
+                             % (x,)) from None
         if x.denominator == 1:
             return x.numerator
     return x

@@ -7,19 +7,11 @@ their scalars exact once, in the constructor: an integral value is held
 as an int (linalg.exact and linalg.div keep it so), since int arithmetic
 is several times faster.
 QQ names the Fraction type.  The JSON formats write a scalar as its str,
-"p" for an int and "p/q" for a Fraction, and qq reads that form back.
+"p" for an int and "p/q" for a Fraction.  A from_json reader hands the
+raw JSON scalar to its constructor, whose linalg.exact reads any form QQ
+takes: that str, a JSON number, or an exact decimal such as "1.5" (3/2).
 """
 
 from fractions import Fraction as QQ
 
 ZERO = QQ(0)
-
-
-def qq(x):
-    """Coerce ints, "p/q" strings, or rationals to the scalar type."""
-    if isinstance(x, str):
-        if "/" in x:
-            num, den = x.split("/")
-            return QQ(int(num), int(den))
-        return QQ(int(x))
-    return QQ(x)

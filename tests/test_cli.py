@@ -295,6 +295,24 @@ def test_rewritten_json_input_is_not_served_its_old_entry(tmp_path, capsys):
         for a in (dual_numbers_algebra(), truncated_poly_algebra(3)))
 
 
+@pytest.mark.parametrize("extra", [{}, {"augmentation": {"1": "1", "x": "0"}}],
+                         ids=["connected", "old-augmentation-key"])
+def test_connected_graded_json_algebra_runs_on_bar(tmp_path, capsys, extra):
+    # the augmentation is the unit coefficient, read off the weights; a
+    # file that still names it loads as before
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "basis": ["1", "x"], "unit": {"1": "1"},
+        "mult": [["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}],
+                 ["x", "1", {"x": "1"}]],
+        "weights": {"1": 0, "x": 1}, **extra}))
+    caps = ("--pipeline", "bar", "--deg-cap", "2", "--weight-cap", "4",
+            "--format", "json")
+    code, out, _ = run(capsys, "hs", str(path), *caps)
+    code2, out2, _ = run(capsys, "hs", "dual-numbers", *caps)
+    assert code == code2 == 0 and out == out2
+
+
 @pytest.mark.parametrize("pipeline", [[], ["--pipeline", "dg"]],
                          ids=["sniffed", "named"])
 def test_a_json_input_is_opened_once_per_job(tmp_path, capsys, monkeypatch,
@@ -359,6 +377,19 @@ def test_option_a_command_does_not_read_exits_2(capsys, argv):
             '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
             '["x", "1", {"x": "1"}]], "weights": {"1": 0, "x": 1.5}, '
             '"augmentation": {"1": "1", "x": "0"}}'),
+    # a zero denominator in each kind, and an infinite float
+    ("bar", '{"basis": ["1"], "unit": {"1": "1/0"}, "mult": []}'),
+    ("dg", '{"generators": [{"name": "x", "hdeg": 0, "weight": 1}, '
+           '{"name": "t", "hdeg": 1, "weight": 2}], '
+           '"differential": [["t", [[["x", "x"], "1/0"]]]]}'),
+    ("cobar", '{"basis": [{"name": "x"}, {"name": "y"}], '
+              '"bracket": [["x", "y", {"x": "1/0"}]]}'),
+    ("bar", '{"basis": ["1"], "unit": {"1": Infinity}, "mult": []}'),
+    # d(d(u)) = d(t x) = x x x
+    ("dg", '{"generators": [{"name": "x", "hdeg": 0, "weight": 1}, '
+           '{"name": "t", "hdeg": 1, "weight": 2}, '
+           '{"name": "u", "hdeg": 2, "weight": 3}], "differential": '
+           '[["t", [[["x", "x"], "1"]]], ["u", [[["t", "x"], "1"]]]]}'),
 ])
 def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
                                             text):

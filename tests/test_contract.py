@@ -32,7 +32,7 @@ from symhom.lie import (abelian_lie, direct_sum, heisenberg, nonabelian_2dim,
                         sl2)
 from test_lie import even_letters, odd_first
 
-NO_AUG = "algebra has no augmentation"
+NOT_CONNECTED = "algebra is not connected graded"
 
 # Lie algebras that are no built-in: sums and the sign-sensitive cases
 LOCAL = {
@@ -70,8 +70,8 @@ ROWS = [
     ("heisenberg",       "closed-form", (3, 5),  None),
     ("nab2",             "cobar",       (3, 5),  None),
     ("nab2",             "closed-form", (3, 5),  None),
-    ("m2",               "bar",         NO_AUG,  NO_AUG),
-    ("ut2",              "bar",         NO_AUG,  NO_AUG),
+    ("m2",               "bar",  NOT_CONNECTED,  NOT_CONNECTED),
+    ("ut2",              "bar",  NOT_CONNECTED,  NOT_CONNECTED),
 ] + [(name, pipeline, (3, 5), None) for name in LOCAL
      for pipeline in ("cobar", "closed-form")]
 

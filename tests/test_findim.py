@@ -99,8 +99,14 @@ def test_augmented_split():
     u, ideal = A.augmented_split()
     assert A.basis[u] == "1"
     assert [A.basis[i] for i in ideal] == ["x"]
-    with pytest.raises(ValueError):
-        matrix_algebra(2).augmented_split()  # no augmentation given
+    # no weights, and a second basis element of weight 0
+    for B in (matrix_algebra(2),
+              FinDimAlgebra(["1", "e"], {"1": 1},
+                            {(0, 0): {0: 1}, (0, 1): {1: 1},
+                             (1, 0): {1: 1}, (1, 1): {1: 1}},
+                            weights={"1": 0, "e": 0})):
+        with pytest.raises(ValueError, match="not connected graded"):
+            B.augmented_split()
 
 
 @pytest.mark.parametrize("A", [dual_numbers_algebra(),
@@ -141,5 +147,4 @@ def test_json_round_trip():
         assert B.unit == A.unit
         assert B.mult == A.mult
         assert B.weights == A.weights
-        assert B.augmentation == A.augmentation
         assert B.truncation == A.truncation
