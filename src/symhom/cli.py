@@ -208,7 +208,8 @@ def _digest(job):
 
 def _cached_table(args, job, compute):
     """The BettiTable compute() returns, served from and written to the
-    cache dir (--cache-dir or SYMHOM_CACHE_DIR) when one is set."""
+    cache dir (--cache-dir or SYMHOM_CACHE_DIR) when one is set.  A read
+    failure is a miss; a write failure is bad input (ValueError)."""
     d = args.cache_dir or os.environ.get("SYMHOM_CACHE_DIR")
     if not d:
         return compute()
@@ -229,16 +230,20 @@ def _cached_table(args, job, compute):
             return table
     t0 = time.time()
     table = compute()
-    os.makedirs(d, exist_ok=True)
     record = {"digest": digest, "job": job,
               "result": json.loads(table.to_json()),
               "wall_time": time.time() - t0, "version": __version__}
     # write a private temp file and rename it over the entry, so a reader
     # never sees a half-written entry
     tmp = "%s.%d.tmp" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(d, exist_ok=True)
+        with open(tmp, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValueError("cache dir %s cannot be written: %s"
+                         % (d, exc)) from None
     return table
 
 

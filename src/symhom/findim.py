@@ -20,19 +20,22 @@ __all__ = ["FinDimAlgebra", "dual_numbers_algebra", "matrix_algebra",
 
 
 class FinDimAlgebra:
-    """Unital associative algebra with explicit structure constants."""
+    """Unital associative algebra with explicit structure constants, given
+    by basis names: mult maps (name, name) -> {name: scalar}, a pair left
+    out multiplying to zero.  unit, mult and weights are stored keyed by
+    basis index, the position of a name in basis."""
 
     def __init__(self, basis, unit, mult, weights=None, truncation=None):
         self.basis = list(basis)
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        if len(self.index) != len(self.basis):
+        self.index = index = {b: i for i, b in enumerate(self.basis)}
+        if len(index) != len(self.basis):
             raise ValueError("duplicate basis names")
-        self.unit = exact_vector({self.index[b]: c for b, c in unit.items()})
+        self.unit = exact_vector({index[b]: c for b, c in unit.items()})
         self.mult = {}
-        for (i, j), vec in mult.items():
-            vec = exact_vector(vec)
+        for (a, b), vec in mult.items():
+            vec = exact_vector({index[k]: c for k, c in vec.items()})
             if vec:
-                self.mult[(i, j)] = vec
+                self.mult[(index[a], index[b])] = vec
         self.weights = None
         if weights is not None:
             self.weights = [0] * len(self.basis)
@@ -40,10 +43,14 @@ class FinDimAlgebra:
                 if type(w) is not int or w < 0:
                     raise ValueError("weight of %s must be an integer >= 0, "
                                      "got %r" % (b, w))
-                self.weights[self.index[b]] = w
+                self.weights[index[b]] = w
         self.truncation = truncation
-        if truncation is not None and self.weights is None:
-            raise ValueError("truncation requires a weight grading")
+        if truncation is not None:
+            if self.weights is None:
+                raise ValueError("truncation requires a weight grading")
+            if type(truncation) is not int or truncation < 0:
+                raise ValueError("truncation must be an integer >= 0, got %r"
+                                 % (truncation,))
         self.validate()
 
     @property
@@ -133,20 +140,16 @@ class FinDimAlgebra:
     # serialization -------------------------------------------------------
 
     def to_json(self):
-        mult = []
-        for (i, j), vec in sorted(self.mult.items()):
-            mult.append([self.basis[i], self.basis[j],
-                         {self.basis[k]: str(c)
-                          for k, c in sorted(vec.items())}])
-        data = {
-            "basis": self.basis,
-            "unit": {self.basis[i]: str(c)
-                     for i, c in sorted(self.unit.items())},
-            "mult": mult,
-        }
+        name = self.basis
+
+        def named(vec):
+            return {name[k]: str(c) for k, c in sorted(vec.items())}
+
+        data = {"basis": name, "unit": named(self.unit),
+                "mult": [[name[i], name[j], named(vec)]
+                         for (i, j), vec in sorted(self.mult.items())]}
         if self.weights is not None:
-            data["weights"] = {b: self.weights[i]
-                               for b, i in self.index.items()}
+            data["weights"] = dict(zip(name, self.weights))
         if self.truncation is not None:
             data["truncation"] = self.truncation
         return json.dumps(data, indent=2)
@@ -154,61 +157,40 @@ class FinDimAlgebra:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        basis = data["basis"]
-        index = {b: i for i, b in enumerate(basis)}
-        mult = {}
-        for bi, bj, vec in data["mult"]:
-            mult[(index[bi], index[bj])] = {index[bk]: c
-                                            for bk, c in vec.items()}
-        return cls(basis, data["unit"], mult, weights=data.get("weights"),
+        return cls(data["basis"], data["unit"],
+                   {(a, b): vec for a, b, vec in data["mult"]},
+                   weights=data.get("weights"),
                    truncation=data.get("truncation"))
 
 
 def dual_numbers_algebra():
     """k[x]/(x^2), connected weight-graded with weight(x) = 1."""
     return FinDimAlgebra(
-        ["1", "x"],
-        {"1": 1},
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}},
-        weights={"1": 0, "x": 1},
-    )
+        ["1", "x"], {"1": 1},
+        {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1}},
+        weights={"1": 0, "x": 1})
+
+
+def _matrix_units(pairs):
+    """The span of the matrix units e_ab, (a, b) in pairs (1-based), with
+    e_ab * e_bd = e_ad; pairs must be closed under that product."""
+    name = {p: "e%d%d" % p for p in pairs}
+    return FinDimAlgebra(
+        list(name.values()),
+        {name[(a, b)]: 1 for a, b in pairs if a == b},
+        {(name[(a, b)], name[(c, d)]): {name[(a, d)]: 1}
+         for a, b in pairs for c, d in pairs if b == c})
 
 
 def matrix_algebra(n=2):
     """Full matrix algebra M_n(k) on the elementary matrices."""
-    basis = ["e%d%d" % (a + 1, b + 1) for a in range(n) for b in range(n)]
-    idx = {b: i for i, b in enumerate(basis)}
-    mult = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    i = idx["e%d%d" % (a + 1, b + 1)]
-                    j = idx["e%d%d" % (c + 1, d + 1)]
-                    if b == c:
-                        mult[(i, j)] = {idx["e%d%d" % (a + 1, d + 1)]: 1}
-                    else:
-                        mult[(i, j)] = {}
-    unit = {"e%d%d" % (a + 1, a + 1): 1 for a in range(n)}
-    return FinDimAlgebra(basis, unit, mult)
+    return _matrix_units([(a + 1, b + 1) for a in range(n)
+                          for b in range(n)])
 
 
 def upper_triangular_algebra():
     """Upper-triangular 2x2 matrices: e11, e22, e12."""
-    basis = ["e11", "e22", "e12"]
-    idx = {b: i for i, b in enumerate(basis)}
-    table = {
-        ("e11", "e11"): {"e11": 1},
-        ("e22", "e22"): {"e22": 1},
-        ("e11", "e12"): {"e12": 1},
-        ("e12", "e22"): {"e12": 1},
-    }
-    mult = {}
-    for a in basis:
-        for b in basis:
-            mult[(idx[a], idx[b])] = {idx[k]: v for k, v
-                                      in table.get((a, b), {}).items()}
-    return FinDimAlgebra(basis, {"e11": 1, "e22": 1}, mult)
+    return _matrix_units([(1, 1), (2, 2), (1, 2)])
 
 
 def truncated_poly_algebra(weight_cap, nvars=1):
@@ -220,22 +202,18 @@ def truncated_poly_algebra(weight_cap, nvars=1):
          if sum(e) <= weight_cap),
         key=sum)
     letters = ["x"] if nvars == 1 else ["x%d" % (v + 1) for v in range(nvars)]
-
-    def name(e):
-        return "*".join("%s^%d" % (x, i)
+    name = {e: "*".join("%s^%d" % (x, i)
                         for x, i in zip(letters, e) if i) or "1"
-
-    basis = [name(e) for e in exponents]
-    index = {e: i for i, e in enumerate(exponents)}
+            for e in exponents}
     mult = {}
-    for i, a in enumerate(exponents):
-        for j, b in enumerate(exponents):
+    for a, na in name.items():
+        for b, nb in name.items():
             ab = tuple(p + q for p, q in zip(a, b))
-            if ab in index:
-                mult[(i, j)] = {index[ab]: 1}
+            if ab in name:
+                mult[(na, nb)] = {name[ab]: 1}
     return FinDimAlgebra(
-        basis, {"1": 1}, mult,
-        weights={name(e): sum(e) for e in exponents},
+        list(name.values()), {"1": 1}, mult,
+        weights={n: sum(e) for e, n in name.items()},
         truncation=weight_cap,
     )
 
@@ -248,22 +226,11 @@ def free_tensor_algebra(num_gens, weight_cap):
     for _ in range(weight_cap):
         frontier = [w + l for w in frontier for l in letters]
         words.extend(frontier)
-    names = ["1" if w == "" else w for w in words]
-    idx = {n: i for i, n in enumerate(names)}
-
-    def name(w):
-        return "1" if w == "" else w
-
-    mult = {}
-    for wi in words:
-        for wj in words:
-            w = wi + wj
-            if len(w) <= weight_cap:
-                mult[(idx[name(wi)], idx[name(wj)])] = {idx[name(w)]: 1}
-            else:
-                mult[(idx[name(wi)], idx[name(wj)])] = {}
+    name = {w: w or "1" for w in words}
     return FinDimAlgebra(
-        names, {"1": 1}, mult,
-        weights={name(w): len(w) for w in words},
+        list(name.values()), {"1": 1},
+        {(name[u], name[v]): {name[u + v]: 1}
+         for u in words for v in words if len(u) + len(v) <= weight_cap},
+        weights={n: len(w) for w, n in name.items()},
         truncation=weight_cap,
     )

@@ -31,10 +31,11 @@ __all__ = ["DGLie", "CECoalgebra", "ce_complex", "ce_homology",
 class DGLie:
     """Finite-dimensional DG Lie algebra by structure constants.
 
-    bracket maps (i, j) -> sparse vector; pairs may be given in either
-    order, the missing one is filled in by graded antisymmetry.  Degrees
-    are integers >= 0, basis names distinct, and scalars are made exact
-    (linalg.exact) here.
+    Given by basis names: bracket maps (name, name) -> {name: scalar},
+    either order of a pair, the other filled in by graded antisymmetry,
+    and differential maps name -> {name: scalar}; both are stored keyed
+    by basis index (position in names).  Degrees are integers >= 0, names
+    distinct, and scalars are made exact (linalg.exact) here.
     """
 
     def __init__(self, names, hdegs, bracket=None, differential=None):
@@ -42,7 +43,8 @@ class DGLie:
         self.hdegs = list(hdegs)
         if len(self.names) != len(self.hdegs):
             raise ValueError("need one degree per basis name")
-        if len(set(self.names)) != len(self.names):
+        index = {x: i for i, x in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise ValueError("basis names must be distinct")
         for name, h in zip(self.names, self.hdegs):
             if type(h) is not int or h < 0:
@@ -50,13 +52,14 @@ class DGLie:
                                  "got %r" % (name, h))
         self.dim = len(self.names)
         self.bracket = {}
-        for (i, j), vec in (bracket or {}).items():
-            self._set_bracket(i, j, exact_vector(vec))
+        for (x, y), vec in (bracket or {}).items():
+            self._set_bracket(index[x], index[y], exact_vector(
+                {index[z]: c for z, c in vec.items()}))
         self.differential = {}
-        for i, vec in (differential or {}).items():
-            vec = exact_vector(vec)
+        for x, vec in (differential or {}).items():
+            vec = exact_vector({index[z]: c for z, c in vec.items()})
             if vec:
-                self.differential[i] = vec
+                self.differential[index[x]] = vec
         self.validate()
 
     def _set_bracket(self, i, j, vec):
@@ -64,7 +67,8 @@ class DGLie:
         flipped = {k: sgn * c for k, c in vec.items()}
         for key, val in (((i, j), vec), ((j, i), flipped)):
             if key in self.bracket and self.bracket[key] != val:
-                raise ValueError("inconsistent bracket at %s" % (key,))
+                raise ValueError("inconsistent bracket [%s,%s]"
+                                 % (self.names[i], self.names[j]))
         if vec:
             self.bracket[(i, j)] = vec
             if i != j:
@@ -135,17 +139,10 @@ class DGLie:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        names = [b["name"] for b in data["basis"]]
-        hdegs = [b.get("hdeg", 0) for b in data["basis"]]
-        index = {n: i for i, n in enumerate(names)}
-        bracket = {}
-        for xi, xj, vec in data.get("bracket", []):
-            bracket[(index[xi], index[xj])] = {index[xk]: c
-                                               for xk, c in vec.items()}
-        diff = {}
-        for xi, vec in data.get("differential", {}).items():
-            diff[index[xi]] = {index[xk]: c for xk, c in vec.items()}
-        return cls(names, hdegs, bracket, diff)
+        return cls([b["name"] for b in data["basis"]],
+                   [b.get("hdeg", 0) for b in data["basis"]],
+                   {(x, y): vec for x, y, vec in data.get("bracket", [])},
+                   data.get("differential"))
 
 
 # suspended exterior coalgebra -------------------------------------------
@@ -159,9 +156,8 @@ class CECoalgebra:
     monomials are the wedge words, and its d is the internal part of the
     CE differential."""
 
-    def __init__(self, lie, cap):
+    def __init__(self, lie):
         self.lie = lie
-        self.cap = cap  # max homological degree of wedge words kept
         self.alg = CommDGAlgebra(
             [GeneratorSpec(name, h + 1, 1)
              for name, h in zip(lie.names, lie.hdegs)],
@@ -209,8 +205,9 @@ class CECoalgebra:
                      sort_word(left + right, self.parities)[0])
         return out
 
-    def check_d_squared(self):
-        for words in self.words_by_hdeg(self.cap).values():
+    def check_d_squared(self, cap):
+        """Whether d^2 = 0 on every wedge word of degree <= cap."""
+        for words in self.words_by_hdeg(cap).values():
             for w in words:
                 acc = {}
                 for w2, c in self.diff(w).items():
@@ -222,8 +219,8 @@ class CECoalgebra:
 
 
 def ce_complex(a, cap):
-    C = CECoalgebra(a, cap)
-    if not C.check_d_squared():
+    C = CECoalgebra(a)
+    if not C.check_d_squared(cap):
         raise ValueError("CE differential does not square to zero")
     return C
 
@@ -340,12 +337,12 @@ def sl2():
     """sl(2): e, f, h with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
     return DGLie(
         ["e", "f", "h"], [0, 0, 0],
-        {(2, 0): {0: 2}, (2, 1): {1: -2}, (0, 1): {2: 1}})
+        {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}})
 
 
 def heisenberg():
     """Heisenberg algebra: [x, y] = z central."""
-    return DGLie(["x", "y", "z"], [0, 0, 0], {(0, 1): {2: 1}})
+    return DGLie(["x", "y", "z"], [0, 0, 0], {("x", "y"): {"z": 1}})
 
 
 def abelian_lie(n):
@@ -354,19 +351,18 @@ def abelian_lie(n):
 
 def nonabelian_2dim():
     """The unique nonabelian 2-dimensional Lie algebra: [x, y] = y."""
-    return DGLie(["x", "y"], [0, 0], {(0, 1): {1: 1}})
+    return DGLie(["x", "y"], [0, 0], {("x", "y"): {"y": 1}})
 
 
 def direct_sum(a, b):
-    names = ["a." + n for n in a.names] + ["b." + n for n in b.names]
-    hdegs = list(a.hdegs) + list(b.hdegs)
-    off = a.dim
-    bracket = {}
-    for (i, j), vec in a.bracket.items():
-        bracket[(i, j)] = dict(vec)
-    for (i, j), vec in b.bracket.items():
-        bracket[(i + off, j + off)] = {k + off: c for k, c in vec.items()}
-    diff = {i: dict(v) for i, v in a.differential.items()}
-    for i, v in b.differential.items():
-        diff[i + off] = {k + off: c for k, c in v.items()}
+    """Direct sum: a's basis names prefixed "a.", b's prefixed "b."."""
+    names, hdegs, bracket, diff = [], [], {}, {}
+    for prefix, part in (("a.", a), ("b.", b)):
+        name = [prefix + x for x in part.names]
+        names += name
+        hdegs += part.hdegs
+        for (i, j), vec in part.bracket.items():
+            bracket[(name[i], name[j])] = {name[k]: c for k, c in vec.items()}
+        for i, vec in part.differential.items():
+            diff[name[i]] = {name[k]: c for k, c in vec.items()}
     return DGLie(names, hdegs, bracket, diff)

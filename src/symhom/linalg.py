@@ -58,9 +58,11 @@ def exact(x):
     """x as an exact scalar: an int when it is integral, else a Fraction.
 
     Accepts ints, Fractions and anything QQ accepts ("p/q" and decimal
-    strings, floats, which convert exactly).  A zero denominator ("1/0")
-    or an infinite float is a ValueError, as any other bad scalar is."""
+    strings, floats, which convert exactly).  A bool, a zero denominator
+    ("1/0") or an infinite float is a ValueError, as any bad scalar is."""
     if type(x) is not int:
+        if type(x) is bool:
+            raise ValueError("scalar %r is not a rational number" % (x,))
         try:
             x = QQ(x)
         except (ZeroDivisionError, OverflowError):

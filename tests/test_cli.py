@@ -194,6 +194,17 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path)
 
 
+def test_unwritable_cache_dir_is_a_one_line_error(tmp_path, capsys):
+    # the cache dir is a file: reading an entry misses, writing one fails
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    code, out, err = run(capsys, "hs", "dual-numbers", "--deg-cap", "1",
+                         "--weight-cap", "2", "--cache-dir", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cache dir %s " % path)
+    assert err.count("\n") == 1
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -385,6 +396,19 @@ def test_option_a_command_does_not_read_exits_2(capsys, argv):
     ("cobar", '{"basis": [{"name": "x"}, {"name": "y"}], '
               '"bracket": [["x", "y", {"x": "1/0"}]]}'),
     ("bar", '{"basis": ["1"], "unit": {"1": Infinity}, "mult": []}'),
+    # a JSON boolean is no scalar
+    ("bar", '{"basis": ["1", "x"], "unit": {"1": true}, "mult": '
+            '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
+            '["x", "1", {"x": "1"}]], "weights": {"1": 0, "x": 1}}'),
+    # a truncation is an integer >= 0, as the weights are
+    ("bar", '{"basis": ["1", "x"], "unit": {"1": "1"}, "mult": '
+            '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
+            '["x", "1", {"x": "1"}]], "weights": {"1": 0, "x": 1}, '
+            '"truncation": true}'),
+    ("bar", '{"basis": ["1", "x"], "unit": {"1": "1"}, "mult": '
+            '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
+            '["x", "1", {"x": "1"}]], "weights": {"1": 0, "x": 1}, '
+            '"truncation": 1.5}'),
     # d(d(u)) = d(t x) = x x x
     ("dg", '{"generators": [{"name": "x", "hdeg": 0, "weight": 1}, '
            '{"name": "t", "hdeg": 1, "weight": 2}, '

@@ -11,6 +11,13 @@ from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
 from symhom.rationals import QQ
 
 
+def named_mult(A):
+    """A's stored products, keyed by basis names as the constructor takes
+    them."""
+    return {(A.basis[i], A.basis[j]): {A.basis[k]: c for k, c in vec.items()}
+            for (i, j), vec in A.mult.items()}
+
+
 def test_builtins_validate():
     for A in (dual_numbers_algebra(), matrix_algebra(2), matrix_algebra(3),
               upper_triangular_algebra(), truncated_poly_algebra(5),
@@ -23,14 +30,14 @@ def test_broken_unit_rejected():
     with pytest.raises(ValueError):
         FinDimAlgebra(
             ["1", "x"], {"1": 1},
-            {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {}, (1, 1): {0: 1}})
+            {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "x"): {"1": 1}})
 
 
 def test_broken_associativity_rejected():
     # e12*e21 = e11 but e21*e12 deliberately wrong
     A = matrix_algebra(2)
-    mult = dict(A.mult)
-    mult[(A.index["e21"], A.index["e12"])] = {A.index["e11"]: QQ(1)}
+    mult = named_mult(A)
+    mult[("e21", "e12")] = {"e11": 1}
     with pytest.raises(ValueError):
         FinDimAlgebra(A.basis, {"e11": 1, "e22": 1}, mult)
 
@@ -39,28 +46,37 @@ def test_broken_associativity_at_the_truncation_weight_rejected():
     # k[x] truncated at weight 3, with x * x^2 = 2 x^3 but x^2 * x = x^3:
     # only the triple (x, x, x), of weight exactly 3, sees the fault
     A = truncated_poly_algebra(3)
-    mult = dict(A.mult)
-    mult[(1, 2)] = {3: QQ(2)}
+    mult = named_mult(A)
+    mult[("x^1", "x^2")] = {"x^3": 2}
     with pytest.raises(ValueError, match="associativity"):
         FinDimAlgebra(A.basis, {"1": 1}, mult,
-                      weights={b: i for i, b in enumerate(A.basis)},
-                      truncation=3)
+                      weights=dict(zip(A.basis, A.weights)), truncation=3)
 
 
 def test_non_homogeneous_weights_rejected():
     with pytest.raises(ValueError):
         FinDimAlgebra(
             ["1", "x"], {"1": 1},
-            {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}},
+            {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1},
+             ("x", "x"): {"x": 1}},
             weights={"1": 0, "x": 1})
 
 
 @pytest.mark.parametrize("weight", [1.5, True, -1])
 def test_weight_must_be_an_int_at_least_0(weight):
+    A = dual_numbers_algebra()
     with pytest.raises(ValueError, match="integer"):
-        FinDimAlgebra(["1", "x"], {"1": 1},
-                      {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        FinDimAlgebra(A.basis, {"1": 1}, named_mult(A),
                       weights={"1": 0, "x": weight})
+
+
+@pytest.mark.parametrize("truncation", [1.5, True, -1])
+def test_truncation_must_be_an_int_at_least_0(truncation):
+    A = truncated_poly_algebra(2)
+    with pytest.raises(ValueError, match="integer"):
+        FinDimAlgebra(A.basis, {"1": 1}, named_mult(A),
+                      weights=dict(zip(A.basis, A.weights)),
+                      truncation=truncation)
 
 
 def test_dual_numbers_products():
@@ -102,8 +118,8 @@ def test_augmented_split():
     # no weights, and a second basis element of weight 0
     for B in (matrix_algebra(2),
               FinDimAlgebra(["1", "e"], {"1": 1},
-                            {(0, 0): {0: 1}, (0, 1): {1: 1},
-                             (1, 0): {1: 1}, (1, 1): {1: 1}},
+                            {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1},
+                             ("e", "1"): {"e": 1}, ("e", "e"): {"e": 1}},
                             weights={"1": 0, "e": 0})):
         with pytest.raises(ValueError, match="not connected graded"):
             B.augmented_split()
@@ -140,8 +156,9 @@ def test_free_tensor_algebra_structure():
 
 
 def test_json_round_trip():
-    for A in (dual_numbers_algebra(), truncated_poly_algebra(3),
-              upper_triangular_algebra()):
+    for A in (dual_numbers_algebra(), matrix_algebra(2), matrix_algebra(3),
+              upper_triangular_algebra(), truncated_poly_algebra(3),
+              truncated_poly_algebra(3, 2), free_tensor_algebra(2, 3)):
         B = FinDimAlgebra.from_json(A.to_json())
         assert B.basis == A.basis
         assert B.unit == A.unit
