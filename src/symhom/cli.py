@@ -8,9 +8,13 @@ keys when no pipeline names its kind: "generators" -> DG resolution,
 "mult" -> structure-constant algebra, otherwise a Lie algebra.  hr is
 hs --pipeline dg, and --n (coefficients in k^n) is read by dg and bar
 and refused by the Lie routes.
+
+main(argv) returns the exit code and may be called repeatedly in one
+process: the argument parser is built on the first call and reused.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -385,7 +389,10 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and shared by every later one:
+    parse_args changes none of its state, and no caller may."""
     p = argparse.ArgumentParser(
         prog="symhom",
         description="Exact homology of associative algebras "

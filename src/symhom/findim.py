@@ -173,8 +173,11 @@ def dual_numbers_algebra():
 
 def _matrix_units(pairs):
     """The span of the matrix units e_ab, (a, b) in pairs (1-based), with
-    e_ab * e_bd = e_ad; pairs must be closed under that product."""
-    name = {p: "e%d%d" % p for p in pairs}
+    e_ab * e_bd = e_ad; pairs must be closed under that product.  Both
+    indices are padded to the width of the largest, so that no two units
+    share a name (e11..e99 up to 9)."""
+    width = len(str(max(max(p) for p in pairs)))
+    name = {p: "e%0*d%0*d" % (width, p[0], width, p[1]) for p in pairs}
     return FinDimAlgebra(
         list(name.values()),
         {name[(a, b)]: 1 for a, b in pairs if a == b},
@@ -197,10 +200,13 @@ def truncated_poly_algebra(weight_cap, nvars=1):
     """k[x_1..x_nvars] with basis the monomials of degree <= weight_cap,
     weight = degree.  Basis names: 1, x^i for one variable, and products
     such as x1^2*x3^1 for several."""
-    exponents = sorted(
-        (e for e in itertools.product(range(weight_cap + 1), repeat=nvars)
-         if sum(e) <= weight_cap),
-        key=sum)
+    # a monomial of degree d as the sorted tuple of its d variables: their
+    # order, reversed, is ascending lexicographic order of the exponents
+    exponents = [
+        tuple(m.count(v) for v in range(nvars))
+        for d in range(weight_cap + 1)
+        for m in reversed(list(
+            itertools.combinations_with_replacement(range(nvars), d)))]
     letters = ["x"] if nvars == 1 else ["x%d" % (v + 1) for v in range(nvars)]
     name = {e: "*".join("%s^%d" % (x, i)
                         for x, i in zip(letters, e) if i) or "1"

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, formats, caching, comparison."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -171,6 +172,67 @@ def test_lie_pipeline_refuses_n_other_than_1(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "no k^n form" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli.main(["deltaS", "psi", "(x0)"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = "hs dual-numbers --pipeline %s --deg-cap 1 --weight-cap 2"
+    for argv in (["deltaS", "factor", "(x1 x0)"],
+                 ["compare", spec % "dg", spec % "bar"],
+                 ["hr", "free:1", "--deg-cap", "1", "--weight-cap", "2"]):
+        assert cli.main(argv) == 0
+    assert built == []
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout) of one main call; an argparse rejection exits
+    through SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_no_parse_leaks_into_the_next(capsys):
+    # hr sets pipeline and --n; hs takes the default pipeline and caps; a
+    # rejected parse, a compare that re-parses, and an unrelated command
+    spec = "hs dual-numbers --pipeline %s --deg-cap 2 --weight-cap 4"
+    jobs = [
+        ["hr", "dual-numbers", "--n", "2", "--deg-cap", "2",
+         "--weight-cap", "3", "--format", "json"],
+        ["hs", "dual-numbers", "--format", "json"],
+        ["hs", "dual-numbers", "--deg-cap", "-1"],
+        ["compare", spec % "dg", spec % "bar"],
+        ["deltaS", "psi", "(x1 x0)|(x2)"],
+    ]
+    fresh = []
+    for argv in jobs:
+        cli.build_parser.cache_clear()  # each job on a parser of its own
+        fresh.append(_outcome(capsys, argv))
+    forward = [_outcome(capsys, argv) for argv in jobs]
+    backward = [_outcome(capsys, argv) for argv in reversed(jobs)][::-1]
+    assert forward == backward == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 0]
+
+
+def test_poly_in_twenty_variables_runs_on_bar(capsys):
+    # the truncated algebra has C(22, 2) = 231 monomials
+    code, out, _ = run(capsys, "hs", "poly:20", "--pipeline", "bar",
+                       "--deg-cap", "1", "--weight-cap", "2",
+                       "--format", "json")
+    table = BettiTable.from_json(out)
+    assert code == 0
+    assert [table.get(0, w) for w in range(3)] == [1, 20, 210]
+    assert table.get(1, 2) == 190  # C(20, 2)
 
 
 def test_cache_round_trip(tmp_path, capsys):

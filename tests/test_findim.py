@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
+from symhom.findim import (FinDimAlgebra, _matrix_units, dual_numbers_algebra,
                            free_tensor_algebra, matrix_algebra,
                            truncated_poly_algebra, upper_triangular_algebra)
 from symhom.rationals import QQ
@@ -145,6 +145,47 @@ def test_truncated_poly_structure():
     assert A.multiply({i1: QQ(1)}, {i3: QQ(1)}) == {A.index["x^4"]: QQ(1)}
     # products beyond the truncation are discarded
     assert A.multiply({i3: QQ(1)}, {i3: QQ(1)}) == {}
+
+
+def _reference_poly_json(weight_cap, nvars):
+    """to_json() of k[x_1..x_nvars] truncated at weight_cap, its basis
+    enumerated over all (weight_cap + 1)^nvars exponent vectors and sorted
+    by degree, lexicographically within a degree."""
+    exponents = sorted(
+        (e for e in itertools.product(range(weight_cap + 1), repeat=nvars)
+         if sum(e) <= weight_cap), key=sum)
+    letters = ["x"] if nvars == 1 else ["x%d" % (v + 1) for v in range(nvars)]
+    name = {e: "*".join("%s^%d" % (x, i) for x, i in zip(letters, e) if i)
+            or "1" for e in exponents}
+    mult = {(na, nb): {name[ab]: 1} for a, na in name.items()
+            for b, nb in name.items()
+            for ab in [tuple(p + q for p, q in zip(a, b))] if ab in name}
+    return FinDimAlgebra(list(name.values()), {"1": 1}, mult,
+                         weights={n: sum(e) for e, n in name.items()},
+                         truncation=weight_cap).to_json()
+
+
+def test_truncated_poly_matches_the_full_enumeration():
+    for nvars in range(1, 5):
+        for weight_cap in range(6):
+            assert truncated_poly_algebra(weight_cap, nvars).to_json() == \
+                _reference_poly_json(weight_cap, nvars)
+
+
+def test_truncated_poly_in_many_variables_builds_its_basis_only():
+    # C(22, 2) = 231 monomials; the full enumeration would visit 3^20
+    A = truncated_poly_algebra(2, 20)
+    assert A.dim == 231
+    assert sum(w == 2 for w in A.weights) == 210
+
+
+def test_matrix_unit_names_stay_distinct_past_index_9():
+    # unpadded, e_{1,11} and e_{11,1} would both be e111
+    A = _matrix_units([(1, 1), (1, 11), (11, 1), (11, 11)])
+    assert A.basis == ["e0101", "e0111", "e1101", "e1111"]
+    assert A.multiply_basis(A.index["e0111"], A.index["e1101"]) == \
+        {A.index["e0101"]: 1}
+    assert matrix_algebra(3).basis[:3] == ["e11", "e12", "e13"]
 
 
 def test_free_tensor_algebra_structure():

@@ -2,8 +2,10 @@
 benchmark's tracer wraps symhom calls by name (a rename would silently
 drop spans from its metrics), the README lists the CLI built-ins and
 the package's modules, and its CLI block holds commands the parser
-accepts.  The CLI prints, byte for byte, the outputs recorded in
-perfbench/oracles.json: they are the behaviour contract of a refactor.
+accepts.  The console script names cli.main, and the CLI run as a
+process prints what cli.main prints in process.  The CLI prints, byte
+for byte, the outputs recorded in perfbench/oracles.json: they are the
+behaviour contract of a refactor.
 Inside the package, every import is used and every export exists, and a
 table computation leaves no reference cycle behind: a cycle would keep
 its per-call caches alive until the cyclic collector runs."""
@@ -17,6 +19,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +38,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.dirname(symhom.__file__)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 README = os.path.join(ROOT, "README.md")
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 def load_perfbench(name):
@@ -124,6 +129,29 @@ def test_every_readme_cli_line_parses():
         if args is None or None in [parses(shlex.split(s)) for s in specs]:
             bad.append(line)
     assert bad == []
+
+
+def test_console_script_is_cli_main():
+    # a regex: tomllib is not in every supported Python
+    with open(PYPROJECT) as fh:
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)",
+                            fh.read(), re.S | re.M)
+    assert re.search(r'^symhom\s*=\s*"symhom\.cli:main"\s*$',
+                     scripts.group(1), re.M)
+
+
+def test_cli_as_a_process_prints_what_main_prints(capsys):
+    argv = ["hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
+            "--weight-cap", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    in_process = capsys.readouterr().out.encode()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(PACKAGE), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "symhom.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == in_process
 
 
 def unused_imports(tree, exported):
