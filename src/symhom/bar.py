@@ -72,9 +72,6 @@ def _weight_monomials(A, ideal, n, weight, cache):
     """Normalized monomials of simplicial degree n and exact weight.  The
     search carries the AND of the factors' singleton-layer masks: it is
     nonzero on a degenerate monomial, and on the unit monomial at n >= 1."""
-    key = ("mono", n, weight)
-    if key in cache:
-        return cache[key]
     # all depth-n trees of weight <= weight, lightest first, so the scan
     # stops at the first tree heavier than what remains
     pool = [(w, t, mask) for w in range(1, weight + 1)
@@ -93,7 +90,6 @@ def _weight_monomials(A, ideal, n, weight, cache):
                 break
             stack.append((idx, remaining - w, acc + (t,), common & mask))
     out.sort()
-    cache[key] = out
     return out
 
 
@@ -213,18 +209,13 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     if A.truncation is not None and A.truncation < weight_cap:
         raise ValueError("algebra truncated below the requested weight cap")
     cache = {}
-
-    def basis(lev, w):
-        key = ("decorated", lev, w)
-        if key not in cache:
-            cache[key] = _decorate(
-                _weight_monomials(A, ideal, lev, w, cache), n)
-        return cache[key]
-
+    bases = {}
     total = 0
     for lev in range(deg_cap + 2):
         for w in range(weight_cap + 1):
-            total += len(basis(lev, w))
+            bases[lev, w] = _decorate(
+                _weight_monomials(A, ideal, lev, w, cache), n)
+            total += len(bases[lev, w])
             if total > budget:
                 raise CapOverflowError(
                     "bar complex exceeds budget %d at (level, weight) = "
@@ -232,8 +223,8 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
 
     def block(lev, w):
         if lev == 0:
-            return SparseMatrix(0, len(basis(0, w)))
-        tgt = basis(lev - 1, w)
+            return SparseMatrix(0, len(bases[0, w]))
+        tgt = bases[lev - 1, w]
         nondegenerate = set(tgt)
 
         def image(mono):
@@ -244,7 +235,7 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
             # degenerate targets are zero in the normalized complex
             return {m: c for m, c in acc.items() if m in nondegenerate}
 
-        return SparseMatrix.from_images(basis(lev, w), tgt, image)
+        return SparseMatrix.from_images(bases[lev, w], tgt, image)
 
     positions = [(lev, w) for lev in range(deg_cap + 1)
                  for w in range(weight_cap + 1)]

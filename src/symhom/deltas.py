@@ -7,22 +7,24 @@ in which every variable occurs exactly once.  morphism() checks that
 normal form where a morphism enters from outside (parse_morphism calls
 it); the constructors below build normal forms and return them
 unchecked.  The source arity is arity(f), the target arity len(f).
-Composition is substitution; the unique (permutation, monotone)
-factorization is computed on demand.  An element of the symmetric bar
-construction is a dict, word of basis indices -> scalar.
+Composition is substitution.  Every morphism factors uniquely as
+f = g o sigma, g monotone and sigma a permutation (factorize); each
+constructor below is one such factor, monotone(sizes) or
+permutation_morphism(sigma), except the wrap-around Hochschild face.
+An element of the symmetric bar construction is a dict, word of basis
+indices -> scalar.
 """
 
-from itertools import product
+from itertools import count, islice, product
 
 from .bar import DEFAULT_BUDGET, CapOverflowError
 from .linalg import QuotientSpace, add_term
 
 __all__ = [
-    "ArityMismatchError", "morphism", "arity", "identity", "compose",
-    "factorize", "transposition", "rotation", "face_embedding",
-    "multiply_map", "parse_morphism", "format_morphism",
-    "b_sym_action", "psi_sym",
-    "hochschild_face",
+    "ArityMismatchError", "morphism", "arity", "monotone", "identity",
+    "permutation_morphism", "compose", "factorize", "transposition",
+    "rotation", "face_embedding", "multiply_map", "parse_morphism",
+    "format_morphism", "b_sym_action", "psi_sym", "hochschild_face",
     "abelianization_quotient", "hs0_coequalizer", "hc0_coequalizer",
 ]
 
@@ -51,61 +53,51 @@ def arity(f):
     return sum(len(m) for m in f)
 
 
+def monotone(sizes):
+    """The morphism of Delta whose j-th monomial holds the next sizes[j]
+    variables in order: the monotone factor g of f = g o sigma."""
+    var = count()
+    return tuple(tuple(islice(var, s)) for s in sizes)
+
+
 def identity(n):
-    return tuple((i,) for i in range(n + 1))
+    return monotone([1] * (n + 1))
+
+
+def permutation_morphism(sigma):
+    """The automorphism sending variable j to slot sigma[j]."""
+    inv = [0] * len(sigma)
+    for j, s in enumerate(sigma):
+        inv[s] = j
+    return tuple((j,) for j in inv)
 
 
 def transposition(n, i):
     """The adjacent transposition (i, i+1) as an automorphism of [n]."""
     if not 0 <= i < n:
         raise IndexError("transposition index out of range")
-    mon = [(j,) for j in range(n + 1)]
-    mon[i], mon[i + 1] = mon[i + 1], mon[i]
-    return tuple(mon)
+    sigma = list(range(n + 1))
+    sigma[i], sigma[i + 1] = i + 1, i
+    return permutation_morphism(sigma)
 
 
 def rotation(n):
     """The cyclic rotation t: a_0 x ... x a_n -> a_n x a_0 x ... x a_{n-1}."""
-    return ((n,),) + tuple((j,) for j in range(n))
+    return permutation_morphism(list(range(1, n + 1)) + [0])
 
 
 def face_embedding(n, i):
     """The injective monotone map [n-1] -> [n] skipping slot i."""
     if not 0 <= i <= n:
         raise IndexError("face index out of range")
-    mon = []
-    for l in range(n + 1):
-        if l < i:
-            mon.append((l,))
-        elif l == i:
-            mon.append(())
-        else:
-            mon.append((l - 1,))
-    return tuple(mon)
+    return monotone([1] * i + [0] + [1] * (n - i))
 
 
 def multiply_map(n, i):
     """The monotone surjection [n] -> [n-1] merging slots i and i+1."""
     if not 0 <= i < n:
         raise IndexError("merge index out of range")
-    mon = []
-    for l in range(n):
-        if l < i:
-            mon.append((l,))
-        elif l == i:
-            mon.append((i, i + 1))
-        else:
-            mon.append((l + 1,))
-    return tuple(mon)
-
-
-def permutation_morphism(sigma):
-    """The automorphism sending variable j to slot sigma[j]."""
-    n1 = len(sigma)
-    inv = [0] * n1
-    for j, s in enumerate(sigma):
-        inv[s] = j
-    return tuple((inv[l],) for l in range(n1))
+    return monotone([1] * i + [2] + [1] * (n - 1 - i))
 
 
 def compose(g, f):
@@ -127,21 +119,12 @@ def factorize(f):
     """Unique factorization f = g o sigma, g monotone in Delta.
 
     Returns (sigma, g): sigma[j] is the position of variable j in the
-    concatenation of f's monomials; g has the same fiber sizes with
-    consecutive variables.
+    concatenation of f's monomials; g is monotone with f's fiber sizes.
     """
     sigma = [0] * arity(f)
-    pos = 0
-    for m in f:
-        for var in m:
-            sigma[var] = pos
-            pos += 1
-    mon = []
-    start = 0
-    for m in f:
-        mon.append(tuple(range(start, start + len(m))))
-        start += len(m)
-    return tuple(sigma), tuple(mon)
+    for pos, var in enumerate(v for m in f for v in m):
+        sigma[var] = pos
+    return tuple(sigma), monotone([len(m) for m in f])
 
 
 # textual syntax ---------------------------------------------------------
@@ -225,7 +208,9 @@ def hochschild_face(n, i):
     """Face d_i of the cyclic bar construction, as a Delta-S morphism.
 
     Inner faces merge slots i, i+1; the last face wraps around:
-    a_0 x ... x a_n -> (a_n a_0) x a_1 x ... x a_{n-1}.
+    a_0 x ... x a_n -> (a_n a_0) x a_1 x ... x a_{n-1}.  That one is
+    multiply_map(n, 0) o rotation(n), written out so that hc0 makes no
+    compose calls.
     """
     if not 0 <= i <= n:
         raise IndexError("face index out of range")
@@ -292,6 +277,8 @@ def _coequalizer_space(A, arity_cap, cyclic):
     generating morphism out of [n] and word of length n + 1.  Raises
     CapOverflowError before building anything when the relations would
     outnumber bar.DEFAULT_BUDGET."""
+    if arity_cap < 1:
+        raise ValueError("arity_cap must be >= 1")
     generators = list(_coequalizer_generators(arity_cap, cyclic))
     size = sum(A.dim ** (n + 1) for n, _ in generators)
     if size > DEFAULT_BUDGET:
@@ -315,13 +302,9 @@ def _coequalizer_space(A, arity_cap, cyclic):
 
 def hs0_coequalizer(A, arity_cap):
     """Truncated coequalizer over the symmetric category: dim HS_0(A)."""
-    if arity_cap < 1:
-        raise ValueError("arity_cap must be >= 1")
     return _coequalizer_space(A, arity_cap, cyclic=False).dim
 
 
 def hc0_coequalizer(A, arity_cap):
     """Truncated coequalizer over the cyclic category: dim A/[A, A]."""
-    if arity_cap < 1:
-        raise ValueError("arity_cap must be >= 1")
     return _coequalizer_space(A, arity_cap, cyclic=True).dim

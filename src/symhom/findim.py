@@ -11,6 +11,7 @@ truncated at a weight bound, with products beyond the bound discarded
 
 import itertools
 import json
+import math
 
 from .linalg import add_term, exact_vector
 
@@ -211,12 +212,11 @@ def truncated_poly_algebra(weight_cap, nvars=1):
     name = {e: "*".join("%s^%d" % (x, i)
                         for x, i in zip(letters, e) if i) or "1"
             for e in exponents}
-    mult = {}
-    for a, na in name.items():
-        for b, nb in name.items():
-            ab = tuple(p + q for p, q in zip(a, b))
-            if ab in name:
-                mult[(na, nb)] = {name[ab]: 1}
+    # exponents are listed by degree, so those of degree <= k are the
+    # first comb(nvars + k, nvars): a's partners, for k = cap - |a|
+    mult = {(na, name[b]): {name[tuple(p + q for p, q in zip(a, b))]: 1}
+            for a, na in name.items() for b in
+            exponents[:math.comb(nvars + weight_cap - sum(a), nvars)]}
     return FinDimAlgebra(
         list(name.values()), {"1": 1}, mult,
         weights={n: sum(e) for e, n in name.items()},

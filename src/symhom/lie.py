@@ -269,13 +269,12 @@ def _word_name(C, word):
     return "[" + "^".join(C.lie.names[i] for i in word) + "]"
 
 
-def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
+def cobar(C, deg_cap, weight_cap):
     """Free DG algebra on the desuspended reduced CE coalgebra.
 
     Generators are wedge words (degree = CE degree - 1, weight =
     exterior length); the differential combines the CE differential with
-    the quadratic part from the reduced coproduct.  Flipping the
-    coproduct sign is a negative control: d^2 != 0.
+    the quadratic part from the reduced coproduct.
     """
     gens = []
     gen_words = []
@@ -293,9 +292,8 @@ def cobar(C, deg_cap, weight_cap, flip_coproduct_sign=False):
             if len(w2) <= weight_cap:
                 add_term(terms, (_word_name(C, w2),), -c)
         for (w1, w2), c in C.reduced_coproduct(w).items():
-            # the Koszul factor from desuspending the left tensor leg;
-            # omitting it (the "flipped" control) must break d^2 = 0
-            if not flip_coproduct_sign and C.alg.mono_hdeg(w1) % 2:
+            # the Koszul factor from desuspending the left tensor leg
+            if C.alg.mono_hdeg(w1) % 2:
                 c = -c
             add_term(terms, (_word_name(C, w1), _word_name(C, w2)), -c)
         diff[name] = terms

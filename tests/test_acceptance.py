@@ -25,6 +25,7 @@ from symhom.lie import (abelian_lie, ce_complex, cobar, hs_env_closed_form,
 from symhom.linalg import SparseMatrix, rank
 from symhom.rationals import QQ, ZERO
 from symhom.repfun import hr_n, trace_chain_map
+from test_lie import flipped_cobar
 
 
 def _report(k, ok, elapsed, budget, detail=""):
@@ -241,8 +242,7 @@ def test_criterion_7_property_suites():
         if not cobar(C, 4, 6).check_d_squared(4, 6):
             fail("cobar d^2")
     # negative control: the flipped coproduct sign must break d^2 = 0
-    if cobar(ce_complex(sl2(), 6), 4, 6,
-             flip_coproduct_sign=True).check_d_squared(4, 6):
+    if flipped_cobar(ce_complex(sl2(), 6)).check_d_squared(4, 6):
         fail("negative control passed d^2")
 
     # (b) category laws and unique factorization, exhaustive arity <= 5

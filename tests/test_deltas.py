@@ -136,6 +136,72 @@ def test_generators_have_expected_normal_forms():
     assert format_morphism(face_embedding(2, 1)) == "(x0)|1|(x1)"
 
 
+# reference builders laid out slot by slot, independent of monotone and
+# permutation_morphism
+
+
+def loop_identity(n):
+    return tuple((i,) for i in range(n + 1))
+
+
+def loop_transposition(n, i):
+    mon = [(j,) for j in range(n + 1)]
+    mon[i], mon[i + 1] = mon[i + 1], mon[i]
+    return tuple(mon)
+
+
+def loop_rotation(n):
+    return ((n,),) + tuple((j,) for j in range(n))
+
+
+def loop_face_embedding(n, i):
+    mon = []
+    for l in range(n + 1):
+        if l < i:
+            mon.append((l,))
+        elif l == i:
+            mon.append(())
+        else:
+            mon.append((l - 1,))
+    return tuple(mon)
+
+
+def loop_multiply_map(n, i):
+    mon = []
+    for l in range(n):
+        if l < i:
+            mon.append((l,))
+        elif l == i:
+            mon.append((i, i + 1))
+        else:
+            mon.append((l + 1,))
+    return tuple(mon)
+
+
+def test_builders_match_the_hand_written_loops():
+    for n in range(7):
+        assert identity(n) == loop_identity(n)
+        assert rotation(n) == loop_rotation(n)
+        for i in range(n):
+            assert transposition(n, i) == loop_transposition(n, i)
+            assert multiply_map(n, i) == loop_multiply_map(n, i)
+        for i in range(n + 1):
+            assert face_embedding(n, i) == loop_face_embedding(n, i)
+
+
+@pytest.mark.parametrize("builder, last", [
+    (transposition, lambda n: n - 1), (face_embedding, lambda n: n),
+    (multiply_map, lambda n: n - 1), (hochschild_face, lambda n: n)],
+    ids=["transposition", "face_embedding", "multiply_map",
+         "hochschild_face"])
+def test_builder_index_range(builder, last):
+    for n in range(1, 5):
+        builder(n, last(n))
+        for i in (-1, last(n) + 1):
+            with pytest.raises(IndexError):
+                builder(n, i)
+
+
 def test_parser_round_trip_exhaustive():
     for a in range(1, 4):
         for b in range(1, 4):
@@ -269,5 +335,6 @@ def test_coequalizer_comparison_is_canonical_quotient():
 
 
 def test_arity_cap_guard():
-    with pytest.raises(ValueError):
-        hs0_coequalizer(dual_numbers_algebra(), 0)
+    for coequalizer in (hs0_coequalizer, hc0_coequalizer):
+        with pytest.raises(ValueError):
+            coequalizer(dual_numbers_algebra(), 0)
