@@ -332,12 +332,13 @@ def cmd_deltas(args):
                          % (args.op, want, "s" if want > 1 else "",
                             len(args.args)))
     try:
-        morphisms = [parse_morphism(text) for text in args.args]
+        f, *rest = [parse_morphism(text) for text in args.args]
+        if rest:  # compose: the second after the first
+            f = compose(rest[0], f)
     except ValueError as exc:
         raise ValueError("deltaS %s: %s" % (args.op, exc)) from None
-    f = morphisms[0]
     if args.op == "compose":
-        print(format_morphism(compose(morphisms[1], f)))
+        print(format_morphism(f))
     elif args.op == "factor":
         sigma, mono = factorize(f)
         print("sigma:", " ".join(str(s) for s in sigma))

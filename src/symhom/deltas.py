@@ -10,9 +10,11 @@ unchecked.  The source arity is arity(f), the target arity len(f).
 Composition is substitution.  Every morphism factors uniquely as
 f = g o sigma, g monotone and sigma a permutation (factorize); each
 constructor below is one such factor, monotone(sizes) or
-permutation_morphism(sigma), except the wrap-around Hochschild face.
-An element of the symmetric bar construction is a dict, word of basis
-indices -> scalar.
+permutation_morphism(sigma).  An element of the symmetric bar
+construction is a dict, word of basis indices -> scalar.  The degree-0
+coequalizers take one relation per word and generator of the category:
+per arity one rotation, one swap (Delta-S only), one merge and one unit
+insertion.
 """
 
 from itertools import count, islice, product
@@ -24,8 +26,8 @@ __all__ = [
     "ArityMismatchError", "morphism", "arity", "monotone", "identity",
     "permutation_morphism", "compose", "factorize", "transposition",
     "rotation", "face_embedding", "multiply_map", "parse_morphism",
-    "format_morphism", "b_sym_action", "psi_sym", "hochschild_face",
-    "abelianization_quotient", "hs0_coequalizer", "hc0_coequalizer",
+    "format_morphism", "b_sym_action", "psi_sym", "abelianization_quotient",
+    "hs0_coequalizer", "hc0_coequalizer",
 ]
 
 
@@ -202,23 +204,6 @@ def psi_sym(f):
     return f
 
 
-# the cyclic operators behind hc0 ----------------------------------------
-
-def hochschild_face(n, i):
-    """Face d_i of the cyclic bar construction, as a Delta-S morphism.
-
-    Inner faces merge slots i, i+1; the last face wraps around:
-    a_0 x ... x a_n -> (a_n a_0) x a_1 x ... x a_{n-1}.  That one is
-    multiply_map(n, 0) o rotation(n), written out so that hc0 makes no
-    compose calls.
-    """
-    if not 0 <= i <= n:
-        raise IndexError("face index out of range")
-    if i < n:
-        return multiply_map(n, i)
-    return ((n, 0),) + tuple((j,) for j in range(1, n))
-
-
 # degree-0 coequalizers --------------------------------------------------
 
 def abelianization_quotient(A):
@@ -244,32 +229,21 @@ def abelianization_quotient(A):
 
 
 def _coequalizer_generators(arity_cap, cyclic):
-    """Generating morphisms with both endpoints at arity <= arity_cap.
+    """Generating morphisms with both endpoints at arity <= arity_cap, as
+    pairs (n, f) with f a morphism out of [n].
 
-    Yields pairs (n, f) with f a morphism out of [n].  For the symmetric
-    coequalizer: adjacent transpositions, merges, unit insertions.  For
-    the cyclic one: rotations, Hochschild faces, and the degeneracies
-    s_i (the unit inserted after slot i, face_embedding(n + 1, i + 1)).
+    Delta-C is generated by Delta and the rotations, Delta-S by Delta and
+    the symmetric groups, which the rotation and the swap (0 1) generate.
+    Every merge or unit insertion is the first merge or the last insertion
+    with an automorphism on each side, so the relations of these few
+    morphisms span those of every morphism.
     """
-    ncap = arity_cap - 1
-    for n in range(ncap + 1):
-        if cyclic:
-            if n >= 1:
-                yield n, rotation(n)
-            for i in range(n + 1):
-                if n >= 1:
-                    yield n, hochschild_face(n, i)
-            if n + 1 <= ncap:
-                for i in range(n + 1):
-                    yield n, face_embedding(n + 1, i + 1)
-        else:
-            for i in range(n):
-                yield n, transposition(n, i)
-            for i in range(n):
-                yield n, multiply_map(n, i)
-            if n + 1 <= ncap:
-                for i in range(n + 2):
-                    yield n, face_embedding(n + 1, i)
+    for n in range(1, arity_cap):
+        yield n, rotation(n)
+        if not cyclic and n >= 2:  # at n = 1 the swap is the rotation
+            yield n, transposition(n, 0)
+        yield n, multiply_map(n, 0)
+        yield n - 1, face_embedding(n, n)
 
 
 def _coequalizer_space(A, arity_cap, cyclic):
@@ -285,8 +259,7 @@ def _coequalizer_space(A, arity_cap, cyclic):
         raise CapOverflowError(
             "coequalizer at arity cap %d builds up to %d relations, over the "
             "budget %d" % (arity_cap, size, DEFAULT_BUDGET))
-    ncap = arity_cap - 1
-    labels = [(n, w) for n in range(ncap + 1)
+    labels = [(n, w) for n in range(arity_cap)
               for w in product(range(A.dim), repeat=n + 1)]
     relations = []
     for n, f in generators:

@@ -504,13 +504,14 @@ def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
 
 def test_coequalizer_over_budget_exits_3_before_building(capsys,
                                                          monkeypatch):
-    # M_2 at arity cap 8 needs 1,332,568 relations; the budget is checked
-    # on the count, before any relation is built
+    # M_2 at arity cap 9 needs 1,135,924 relations for hs0 and 786,420
+    # for hc0; the budget is checked on the count, before any relation is
+    # built
     monkeypatch.setattr(deltas, "b_sym_action", None)
     for cmd in ("hs0", "hc0"):
-        code, out, err = run(capsys, cmd, "m2", "--arity-cap", "8")
+        code, out, err = run(capsys, cmd, "m2", "--arity-cap", "9")
         assert code == 3 and out == ""
-        assert err.startswith("error: coequalizer at arity cap 8 ")
+        assert err.startswith("error: coequalizer at arity cap 9 ")
         assert err.count("\n") == 1
 
 
@@ -641,6 +642,7 @@ def test_deltas_bad_variable_names_the_token(capsys, tok):
     ["deltaS", "psi", "(x0)", "(x0)"],
     ["deltaS", "factor", "1"],
     ["deltaS", "compose", "(x0 x0)", "(x0)"],
+    ["deltaS", "compose", "(x1 x0)|(x2)", "(x0)|(x2 x1)"],
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     try:

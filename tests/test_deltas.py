@@ -9,13 +9,14 @@ import pytest
 from symhom.deltas import (ArityMismatchError, _coequalizer_space,
                            abelianization_quotient, arity, b_sym_action,
                            compose, face_embedding, factorize,
-                           format_morphism, hc0_coequalizer, hochschild_face,
-                           hs0_coequalizer, identity, morphism, multiply_map,
+                           format_morphism, hc0_coequalizer, hs0_coequalizer,
+                           identity, monotone, morphism, multiply_map,
                            parse_morphism, permutation_morphism, psi_sym,
                            rotation, transposition)
-from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
-                           matrix_algebra, upper_triangular_algebra)
-from symhom.linalg import SparseMatrix, rank
+from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
+                           free_tensor_algebra, matrix_algebra,
+                           upper_triangular_algebra)
+from symhom.linalg import QuotientSpace, SparseMatrix, add_term, rank
 
 
 def all_morphisms(src_arity, tgt_arity):
@@ -191,9 +192,8 @@ def test_builders_match_the_hand_written_loops():
 
 @pytest.mark.parametrize("builder, last", [
     (transposition, lambda n: n - 1), (face_embedding, lambda n: n),
-    (multiply_map, lambda n: n - 1), (hochschild_face, lambda n: n)],
-    ids=["transposition", "face_embedding", "multiply_map",
-         "hochschild_face"])
+    (multiply_map, lambda n: n - 1)],
+    ids=["transposition", "face_embedding", "multiply_map"])
 def test_builder_index_range(builder, last):
     for n in range(1, 5):
         builder(n, last(n))
@@ -288,13 +288,17 @@ def test_cyclic_rotation_embedding():
 
 
 def test_hochschild_face_wraparound():
+    # the last Hochschild face d_2 multiplies the last slot into the
+    # first: the first merge after the rotation
+    face = compose(multiply_map(2, 0), rotation(2))
+    assert face == ((2, 0), (1,))
     A = upper_triangular_algebra()
     e12, e22, e11 = A.index["e12"], A.index["e22"], A.index["e11"]
     v = {(e12, e11, e22): 1}
-    # d_2 multiplies the last slot into the first: (e22 e12) x e11 = 0
-    assert b_sym_action(A, hochschild_face(2, 2), v) == {}
+    # (e22 e12) x e11 = 0
+    assert b_sym_action(A, face, v) == {}
     w = {(e22, e11, e12): 1}
-    out = b_sym_action(A, hochschild_face(2, 2), w)
+    out = b_sym_action(A, face, w)
     assert out == {(e12, e11): 1}
 
 
@@ -338,3 +342,119 @@ def test_arity_cap_guard():
     for coequalizer in (hs0_coequalizer, hc0_coequalizer):
         with pytest.raises(ValueError):
             coequalizer(dual_numbers_algebra(), 0)
+
+
+# degree-0 coequalizers against references --------------------------------
+
+def group_algebra(elements, product):
+    """The ungraded group algebra k[G] on the named elements, the first
+    one the identity."""
+    mult = {(g, h): {product(g, h): 1} for g in elements for h in elements}
+    return FinDimAlgebra(elements, {elements[0]: 1}, mult)
+
+
+def cyclic_group_algebra(order):
+    return group_algebra([str(k) for k in range(order)],
+                         lambda g, h: str((int(g) + int(h)) % order))
+
+
+def s3_group_algebra():
+    # a permutation of {0, 1, 2} is named by its images, "012" the identity
+    perms = ["".join(map(str, p)) for p in itertools.permutations(range(3))]
+    return group_algebra(perms, lambda g, h: "".join(g[int(i)] for i in h))
+
+
+def weak_compositions(total, parts):
+    return [c for c in itertools.product(range(total + 1), repeat=parts)
+            if sum(c) == total]
+
+
+def every_morphism(arity_cap, cyclic):
+    """Every morphism of the truncated category as pairs (n, f), f out of
+    [n]: monotone(sizes) o sigma, sigma a permutation, or a rotation for
+    the cyclic category."""
+    for n in range(arity_cap):
+        if cyclic:
+            sigmas = [[(j + k) % (n + 1) for j in range(n + 1)]
+                      for k in range(n + 1)]
+        else:
+            sigmas = itertools.permutations(range(n + 1))
+        for sigma in sigmas:
+            for m in range(arity_cap):
+                for sizes in weak_compositions(n + 1, m + 1):
+                    yield n, compose(monotone(sizes),
+                                     permutation_morphism(sigma))
+
+
+def earlier_generators(arity_cap, cyclic):
+    """The larger generating families hs0 and hc0 once used: every
+    adjacent transposition, merge and unit insertion for the symmetric
+    category; the rotation, every Hochschild face and the degeneracies
+    for the cyclic one."""
+    for n in range(arity_cap):
+        if cyclic:
+            if n >= 1:
+                yield n, rotation(n)
+                for i in range(n):
+                    yield n, multiply_map(n, i)
+                yield n, compose(multiply_map(n, 0), rotation(n))
+            if n + 1 < arity_cap:
+                for i in range(n + 1):
+                    yield n, face_embedding(n + 1, i + 1)
+        else:
+            for i in range(n):
+                yield n, transposition(n, i)
+                yield n, multiply_map(n, i)
+            if n + 1 < arity_cap:
+                for i in range(n + 2):
+                    yield n, face_embedding(n + 1, i)
+
+
+def coequalizer_dim(A, arity_cap, morphisms):
+    """The dimension of the words of length <= arity_cap modulo
+    x - f_*(x), for every word x out of [n] and every (n, f) given."""
+    labels = [(n, w) for n in range(arity_cap)
+              for w in itertools.product(range(A.dim), repeat=n + 1)]
+    relations = []
+    for n, f in morphisms:
+        for w in itertools.product(range(A.dim), repeat=n + 1):
+            rel = {(n, w): 1}
+            for iw, c in b_sym_action(A, f, {w: 1}).items():
+                add_term(rel, (len(f) - 1, iw), -c)
+            relations.append(rel)
+    return QuotientSpace(labels, relations).dim
+
+
+SMALL_ALGEBRAS = {
+    "dual-numbers": dual_numbers_algebra, "m2": matrix_algebra,
+    "ut2": upper_triangular_algebra, "k[C2]": lambda: cyclic_group_algebra(2),
+    "k[C3]": lambda: cyclic_group_algebra(3)}
+
+
+@pytest.mark.parametrize("name", SMALL_ALGEBRAS)
+def test_coequalizers_equal_those_over_every_morphism(name):
+    A = SMALL_ALGEBRAS[name]()
+    for cap in (1, 2, 3):
+        assert hs0_coequalizer(A, cap) == \
+            coequalizer_dim(A, cap, every_morphism(cap, cyclic=False))
+        assert hc0_coequalizer(A, cap) == \
+            coequalizer_dim(A, cap, every_morphism(cap, cyclic=True))
+
+
+@pytest.mark.parametrize("name", SMALL_ALGEBRAS)
+def test_coequalizers_equal_those_of_the_earlier_generators(name):
+    A = SMALL_ALGEBRAS[name]()
+    assert hs0_coequalizer(A, 4) == \
+        coequalizer_dim(A, 4, earlier_generators(4, cyclic=False))
+    assert hc0_coequalizer(A, 4) == \
+        coequalizer_dim(A, 4, earlier_generators(4, cyclic=True))
+
+
+@pytest.mark.parametrize("A, abelianization, classes", [
+    (cyclic_group_algebra(2), 2, 2), (cyclic_group_algebra(3), 3, 3),
+    (s3_group_algebra(), 2, 3)], ids=["C2", "C3", "S3"])
+def test_group_algebras_in_degree_0(A, abelianization, classes):
+    # HS_0(k[G]) = k[G_ab] and HC_0(k[G]) = k[conjugacy classes of G]
+    for cap in (3, 4):
+        assert hs0_coequalizer(A, cap) == abelianization
+        assert hc0_coequalizer(A, cap) == classes
