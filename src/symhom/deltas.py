@@ -13,8 +13,7 @@ constructor below is one such factor, monotone(sizes) or
 permutation_morphism(sigma).  An element of the symmetric bar
 construction is a dict, word of basis indices -> scalar.  The degree-0
 coequalizers take one relation per word and generator of the category:
-per arity one rotation, one swap (Delta-S only), one merge and one unit
-insertion.
+per arity one rotation, one swap (Delta-S only) and one merge.
 """
 
 from itertools import count, islice, product
@@ -235,15 +234,15 @@ def _coequalizer_generators(arity_cap, cyclic):
     Delta-C is generated by Delta and the rotations, Delta-S by Delta and
     the symmetric groups, which the rotation and the swap (0 1) generate.
     Every merge or unit insertion is the first merge or the last insertion
-    with an automorphism on each side, so the relations of these few
-    morphisms span those of every morphism.
+    with an automorphism on each side, and the last insertion, rotated to
+    the front and merged into the next slot, gives back the word; so the
+    relations of these few morphisms span those of every morphism.
     """
     for n in range(1, arity_cap):
         yield n, rotation(n)
         if not cyclic and n >= 2:  # at n = 1 the swap is the rotation
             yield n, transposition(n, 0)
         yield n, multiply_map(n, 0)
-        yield n - 1, face_embedding(n, n)
 
 
 def _coequalizer_space(A, arity_cap, cyclic):

@@ -8,6 +8,8 @@ generators (parity = degree + 1, weight = exterior length), and every
 Koszul sign comes from commalg.sort_word.  The differential combines the
 internal differential of the Lie algebra (that algebra's derivation d)
 with bracket contraction, and the reduced coproduct is the unshuffle.
+DGLie.validate checks the Lie axioms as d^2 = 0 on wedge words of length
+<= 3, and each route reads its wedge words from one monomial_bases box.
 The cobar construction is the free DG algebra on the desuspended reduced
 coalgebra; its abelianization is weight-graded by exterior length (the
 differential drops it by exactly 1).  Scalars are exact (linalg.exact),
@@ -77,64 +79,40 @@ class DGLie:
     def bkt(self, i, j):
         return self.bracket.get((i, j), {})
 
-    def d_vec(self, vec):
-        out = {}
-        for i, c in vec.items():
-            for k, c2 in self.differential.get(i, {}).items():
-                add_term(out, k, c * c2)
-        return out
-
-    def bkt_vec(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in self.bkt(i, j).items():
-                    add_term(out, k, a * b * c)
-        return out
-
     def validate(self):
-        n = self.dim
+        """Check that this is a DG Lie algebra; raise ValueError if not.
+
+        Homogeneity, [x,x] = 0 for even x (x^x = 0 among wedge words) and
+        d of degree -1 are checked by hand.  The rest is the L-infinity
+        characterization (Lada-Stasheff, Introduction to sh Lie algebras
+        for physicists, 1993): graded Jacobi, d a derivation of the bracket
+        and d^2 = 0 hold exactly when the CE differential squares to zero.
+        d^2 is a coderivation, so it vanishes once its projection to single
+        letters does, and that projection only sees words of length <= 3.
+        The first word, by length, with d^2 != 0 names the failed axiom.
+        """
         for (i, j), vec in self.bracket.items():
             deg = self.hdegs[i] + self.hdegs[j]
             for k in vec:
                 if self.hdegs[k] != deg:
                     raise ValueError("bracket [%s,%s] not homogeneous"
                                      % (self.names[i], self.names[j]))
-        for i in range(n):
+        for i in range(self.dim):
             if self.hdegs[i] % 2 == 0 and self.bkt(i, i):
                 raise ValueError("[x,x] != 0 for even %s" % self.names[i])
-        # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.bkt_vec({i: 1}, self.bkt(j, k))
-                    acc = self.bkt_vec(self.bkt(i, j), {k: 1})
-                    sgn = -1 if (self.hdegs[i] * self.hdegs[j]) % 2 else 1
-                    for m, v in self.bkt_vec({j: 1},
-                                             self.bkt(i, k)).items():
-                        add_term(acc, m, sgn * v)
-                    if lhs != acc:
-                        raise ValueError(
-                            "Jacobi fails on (%s, %s, %s)"
-                            % (self.names[i], self.names[j], self.names[k]))
-        # d is a derivation of the bracket and squares to zero
-        for (i, j), vec in self.bracket.items():
-            lhs = self.d_vec(vec)
-            acc = self.bkt_vec(self.differential.get(i, {}), {j: 1})
-            sgn = -1 if self.hdegs[i] % 2 else 1
-            for m, v in self.bkt_vec({i: 1},
-                                     self.differential.get(j, {})).items():
-                add_term(acc, m, sgn * v)
-            if lhs != acc:
-                raise ValueError("d not a bracket derivation at [%s,%s]"
-                                 % (self.names[i], self.names[j]))
-        for i in range(n):
-            if self.d_vec(self.differential.get(i, {})):
-                raise ValueError("d^2 != 0 on %s" % self.names[i])
             for k in self.differential.get(i, {}):
                 if self.hdegs[k] != self.hdegs[i] - 1:
                     raise ValueError("d not of degree -1 on %s"
                                      % self.names[i])
+        C = CECoalgebra(self)
+        bases = C.alg.monomial_bases(3 * max(self.hdegs, default=0) + 3, 3)
+        failures = ("d^2 != 0 on %s", "d not a bracket derivation at [%s,%s]",
+                    "Jacobi fails on (%s, %s, %s)")
+        for _, word in sorted((len(w), w) for words in bases.values()
+                              for w in words if w):
+            if C.d_squared(word):
+                raise ValueError(failures[len(word) - 1]
+                                 % tuple(self.names[i] for i in word))
 
     @classmethod
     def from_json(cls, text):
@@ -164,15 +142,6 @@ class CECoalgebra:
             {lie.names[i]: {(lie.names[k],): c for k, c in vec.items()}
              for i, vec in lie.differential.items()})
         self.parities = self.alg.parities
-
-    def words_by_hdeg(self, cap):
-        """{h: sorted wedge words of homological degree h} for 0 <= h <=
-        cap, from one monomial_bases call (a word's weight is its length,
-        at most its degree)."""
-        bases = self.alg.monomial_bases(cap, cap)
-        return {h: sorted(word for (hh, _), words in bases.items()
-                          if hh == h for word in words)
-                for h in range(cap + 1)}
 
     def diff(self, word):
         """CE differential of a wedge word: dict word -> coeff."""
@@ -205,62 +174,58 @@ class CECoalgebra:
                      sort_word(left + right, self.parities)[0])
         return out
 
+    def d_squared(self, word):
+        """d(d(word)) as a dict word -> coeff (empty when it vanishes)."""
+        out = {}
+        for w2, c in self.diff(word).items():
+            for w3, c2 in self.diff(w2).items():
+                add_term(out, w3, c * c2)
+        return out
+
     def check_d_squared(self, cap):
         """Whether d^2 = 0 on every wedge word of degree <= cap."""
-        for words in self.words_by_hdeg(cap).values():
-            for w in words:
-                acc = {}
-                for w2, c in self.diff(w).items():
-                    for w3, c2 in self.diff(w2).items():
-                        add_term(acc, w3, c * c2)
-                if acc:
-                    return False
-        return True
+        return not any(self.d_squared(w) for words in
+                       self.alg.monomial_bases(cap, cap).values()
+                       for w in words)
 
 
 def ce_complex(a, cap):
+    """The CE coalgebra of a, after checking d^2 = 0 on every wedge word
+    of degree <= cap: validate only looks at words of length <= 3, so
+    this guards the signs of the longer words."""
     C = CECoalgebra(a)
     if not C.check_d_squared(cap):
         raise ValueError("CE differential does not square to zero")
     return C
 
 
-def _ce_dims(C, positions, words, shift):
-    """Homology dimensions at the given positions of the CE complex graded
-    by words(h, w): sorted wedge words of degree h in group w, where d
-    maps group w to group w + shift."""
+def _ce_dims(a, cap):
+    """CE homology dimensions {(h, ell): dim} through degree cap (unreduced).
 
+    ell is exterior length, which d shifts by -1 (pure bracket) or by 0
+    (pure internal d).  A d with both parts is graded by degree alone,
+    with every word at ell = 0.
+    """
+    C = ce_complex(a, cap + 1)
+    bases = C.alg.monomial_bases(cap + 1, cap + 1)
+    shift = -1 if a.bracket else 0
+    if a.bracket and a.differential:
+        shift = 0
+        bases = {(h, 0): sorted(w for (hh, _), words in bases.items()
+                                if hh == h for w in words)
+                 for h in range(cap + 2)}
     return homology_by_blocks(
-        positions, lambda h, w: SparseMatrix.from_images(
-            words(h, w), words(h - 1, w + shift), C.diff), shift)
+        sorted(pos for pos in bases if pos[0] <= cap),
+        lambda h, ell: SparseMatrix.from_images(
+            bases.get((h, ell), []), bases.get((h - 1, ell + shift), []),
+            C.diff), shift)
 
 
 def ce_homology(a, cap):
     """Dimensions of CE homology H_i(a; k) for i = 0..cap (unreduced)."""
-    C = ce_complex(a, cap + 1)
-    words = C.words_by_hdeg(cap + 1)
-    dims = _ce_dims(C, [(h, 0) for h in range(cap + 1)],
-                    lambda h, _: words.get(h, []), 0)
-    return [dims[(h, 0)] for h in range(cap + 1)]
-
-
-def _ce_homology_bigraded(a, cap):
-    """Homology class counts by (hdeg, exterior length).
-
-    Needs a length-homogeneous differential: pure bracket (length -1) or
-    pure internal (length 0); raises otherwise.
-    """
-    if a.bracket and a.differential:
-        raise ValueError(
-            "bigraded CE homology needs a pure bracket or pure internal "
-            "differential")
-    shift = -1 if a.bracket else 0
-    C = ce_complex(a, cap + 1)
-    bases = C.alg.monomial_bases(cap + 1, cap + 1)
-    positions = sorted(pos for pos in bases if pos[0] <= cap)
-    dims = _ce_dims(C, positions, lambda h, ell: bases.get((h, ell), []),
-                    shift)
-    return {pos: dim for pos, dim in dims.items() if dim}
+    dims = _ce_dims(a, cap)
+    return [sum(dim for (h, _), dim in dims.items() if h == i)
+            for i in range(cap + 1)]
 
 
 # cobar ------------------------------------------------------------------
@@ -272,25 +237,22 @@ def _word_name(C, word):
 def cobar(C, deg_cap, weight_cap):
     """Free DG algebra on the desuspended reduced CE coalgebra.
 
-    Generators are wedge words (degree = CE degree - 1, weight =
-    exterior length); the differential combines the CE differential with
-    the quadratic part from the reduced coproduct.
+    Generators are the nonempty wedge words of the box, sorted by (CE
+    degree, word) (degree = CE degree - 1, weight = exterior length); the
+    differential combines the CE differential, which keeps a word's length
+    or lowers it and so stays in the box, with the quadratic part from the
+    reduced coproduct.
     """
-    gens = []
-    gen_words = []
-    words = C.words_by_hdeg(deg_cap + 1)
-    for h in range(1, deg_cap + 2):
-        for w in words[h]:
-            if len(w) <= weight_cap:
-                gens.append(GeneratorSpec(_word_name(C, w), h - 1, len(w)))
-                gen_words.append(w)
+    words = sorted((h, w) for (h, _), ws in
+                   C.alg.monomial_bases(deg_cap + 1, weight_cap).items()
+                   if h for w in ws)
+    gens = [GeneratorSpec(_word_name(C, w), h - 1, len(w)) for h, w in words]
     diff = {}
-    for w in gen_words:
+    for _, w in words:
         name = _word_name(C, w)
         terms = {}
         for w2, c in C.diff(w).items():
-            if len(w2) <= weight_cap:
-                add_term(terms, (_word_name(C, w2),), -c)
+            add_term(terms, (_word_name(C, w2),), -c)
         for (w1, w2), c in C.reduced_coproduct(w).items():
             # the Koszul factor from desuspending the left tensor leg
             if C.alg.mono_hdeg(w1) % 2:
@@ -316,14 +278,14 @@ def hs_env_via_cobar(a, deg_cap, weight_cap):
 def hs_env_closed_form(a, deg_cap, weight_cap):
     """Free graded-commutative algebra on reduced CE homology, shifted
     down by one; expanded into a Betti table through the caps."""
-    classes = _ce_homology_bigraded(a, deg_cap + 1)
-    gens = []
-    for (h, ell), dim in sorted(classes.items()):
-        if h == 0:
-            continue  # the unreduced H_0 = k contributes the algebra unit
-        for r in range(dim):
-            gens.append(GeneratorSpec("u%d_%d_%d" % (h, ell, r),
-                                      h - 1, ell))
+    if a.bracket and a.differential:
+        raise ValueError(
+            "bigraded CE homology needs a pure bracket or pure internal "
+            "differential")
+    # the unreduced H_0 = k contributes the algebra unit
+    gens = [GeneratorSpec("u%d_%d_%d" % (h, ell, r), h - 1, ell)
+            for (h, ell), dim in sorted(_ce_dims(a, deg_cap + 1).items())
+            if h for r in range(dim)]
     bases = CommDGAlgebra(gens).monomial_bases(deg_cap, weight_cap)
     return BettiTable(deg_cap, weight_cap,
                       {pos: len(basis) for pos, basis in bases.items()})

@@ -490,6 +490,23 @@ def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
     assert str(path) in err
 
 
+def test_lie_json_failing_leibniz_exits_2(tmp_path, capsys):
+    # [a1, a2] = 0, but [d a1, a2] = 2 [a0, a2] = 2 a2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "basis": [{"name": "a0", "hdeg": 0}, {"name": "a1", "hdeg": 1},
+                  {"name": "a2", "hdeg": 2}],
+        "bracket": [["a0", "a2", {"a2": 1}]],
+        "differential": {"a1": {"a0": 2}}}))
+    for argv in (["ce", str(path), "--deg-cap", "3"],
+                 ["hs", str(path), "--pipeline", "cobar", "--deg-cap", "1",
+                  "--weight-cap", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "d not a bracket derivation" in err
+
+
 def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
     # the real bar route, with a budget its basis crosses in the block of
     # level 2 and weight 5
@@ -504,7 +521,7 @@ def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
 
 def test_coequalizer_over_budget_exits_3_before_building(capsys,
                                                          monkeypatch):
-    # M_2 at arity cap 9 needs 1,135,924 relations for hs0 and 786,420
+    # M_2 at arity cap 9 needs 1,048,544 relations for hs0 and 699,040
     # for hc0; the budget is checked on the count, before any relation is
     # built
     monkeypatch.setattr(deltas, "b_sym_action", None)

@@ -1,5 +1,7 @@
 """DG Lie algebras, Chevalley-Eilenberg complexes, and the cobar route."""
 
+import random
+
 import pytest
 
 from symhom.freealg import FreeDGAlgebra
@@ -73,6 +75,99 @@ def test_inhomogeneous_bracket_rejected():
         DGLie(["x", "y"], [0, 1], {("x", "x"): {"y": 1}})
 
 
+def test_leibniz_checked_on_pairs_with_zero_bracket():
+    # [a1, a2] = 0, so d[a1, a2] = 0, but [d a1, a2] = 2 [a0, a2] = 2 a2
+    with pytest.raises(ValueError, match="d not a bracket derivation"):
+        DGLie(["a0", "a1", "a2"], [0, 1, 2], {("a0", "a2"): {"a2": 1}},
+              {"a1": {"a0": 2}})
+
+
+def brute_force_dg_lie(hdegs, bracket, differential):
+    """Whether graded Jacobi holds on every ordered triple, d is a
+    derivation of the bracket on every ordered pair (zero brackets
+    included) and d^2 = 0 on every letter.  bracket maps an index pair
+    (one order) and differential an index to {index: int}; homogeneity
+    and the degree of d are taken as given."""
+    table = {}
+    for (i, j), vec in bracket.items():
+        sign = 1 if hdegs[i] * hdegs[j] % 2 else -1
+        table[(i, j)] = vec
+        table[(j, i)] = {k: sign * c for k, c in vec.items()}
+
+    def combine(*terms):
+        out = {}
+        for scale, vec in terms:
+            for k, c in vec.items():
+                out[k] = out.get(k, 0) + scale * c
+        return {k: c for k, c in out.items() if c}
+
+    def bkt(u, v):
+        return combine(*((a * b, table.get((i, j), {}))
+                         for i, a in u.items() for j, b in v.items()))
+
+    def d(u):
+        return combine(*((a, differential.get(i, {})) for i, a in u.items()))
+
+    letters = [{i: 1} for i in range(len(hdegs))]
+    for i, x in enumerate(letters):
+        if d(d(x)):
+            return False
+        for j, y in enumerate(letters):
+            xy = bkt(x, y)
+            if d(xy) != combine((1, bkt(d(x), y)),
+                                ((-1) ** hdegs[i], bkt(x, d(y)))):
+                return False
+            for z in letters:
+                if bkt(x, bkt(y, z)) != combine(
+                        (1, bkt(xy, z)),
+                        ((-1) ** (hdegs[i] * hdegs[j]), bkt(y, bkt(x, z)))):
+                    return False
+    return True
+
+
+def random_dg_lie_data(rng):
+    """Homogeneous brackets and a degree -1 d on at most 4 letters of
+    degrees 0-3, with [x,x] only for odd x."""
+    n = rng.randint(1, 4)
+    hdegs = [rng.randint(0, 3) for _ in range(n)]
+
+    def vector(deg):
+        return {k: rng.choice((-1, 1, 2)) for k in range(n)
+                if hdegs[k] == deg and rng.random() < 0.75}
+
+    bracket = {(i, j): vector(hdegs[i] + hdegs[j])
+               for i in range(n) for j in range(i, n)
+               if (i < j or hdegs[i] % 2) and rng.random() < 0.75}
+    differential = {i: vector(hdegs[i] - 1) for i in range(n)
+                    if rng.random() < 0.75}
+    return hdegs, bracket, differential
+
+
+def test_validate_accepts_exactly_the_brute_force_dg_lie_algebras():
+    # validate reads the axioms off CE d^2 on words of length <= 3; this
+    # checks it against the axioms written out letter by letter
+    rng = random.Random(20)
+    accepted = rejected = 0
+    for _ in range(1000):
+        hdegs, bracket, differential = random_dg_lie_data(rng)
+        names = ["a%d" % i for i in range(len(hdegs))]
+        try:
+            a = DGLie(names, hdegs,
+                      {(names[i], names[j]): {names[k]: c
+                                              for k, c in vec.items()}
+                       for (i, j), vec in bracket.items()},
+                      {names[i]: {names[k]: c for k, c in vec.items()}
+                       for i, vec in differential.items()})
+        except ValueError:
+            assert not brute_force_dg_lie(hdegs, bracket, differential)
+            rejected += 1
+            continue
+        assert brute_force_dg_lie(hdegs, bracket, differential)
+        assert CECoalgebra(a).check_d_squared(3 * max(hdegs) + 6)
+        accepted += 1
+    assert accepted >= 100 and rejected >= 100
+
+
 def test_non_derivation_differential_rejected():
     # d[x, u] = d(u) = x, but [dx, u] + [x, du] = [x, x] = 0
     with pytest.raises(ValueError):
@@ -90,8 +185,8 @@ def test_bracket_antisymmetry_autofill():
 def test_ce_wedge_dimensions():
     C = CECoalgebra(sl2())
     # Lambda(k^3) in suspension degrees: binomial dimensions 1, 3, 3, 1
-    words = C.words_by_hdeg(4)
-    assert [len(words[h]) for h in range(5)] == [1, 3, 3, 1, 0]
+    bases = C.alg.monomial_bases(4, 4)
+    assert [len(bases.get((h, h), [])) for h in range(5)] == [1, 3, 3, 1, 0]
 
 
 def test_ce_d_squared_all_builtins():
@@ -125,13 +220,21 @@ def test_ce_homology_nonabelian_2dim():
     assert ce_homology(nonabelian_2dim(), 2) == [1, 1, 0]
 
 
+def test_ce_homology_of_a_mixed_differential_is_graded_by_degree():
+    # c alone has a pure internal d; beside sl2 or heisenberg d has a
+    # bracket and an internal part, so no exterior-length grading
+    c = DGLie(["u", "v"], [1, 0], differential={"u": {"v": 1}})
+    assert ce_homology(c, 3) == [1, 0, 0, 0]
+    assert ce_homology(direct_sum(sl2(), c), 5) == [1, 0, 0, 1, 0, 0]
+    assert ce_homology(direct_sum(heisenberg(), c), 4) == [1, 2, 2, 1, 0]
+
+
 def test_reduced_coproduct_coassociativity():
     for a in (sl2(), nonabelian_2dim(), even_letters(),
               direct_sum(sl2(), even_letters())):
         C = CECoalgebra(a)
-        words = C.words_by_hdeg(3)
-        for h in range(1, 4):
-            for word in words[h]:
+        for words in C.alg.monomial_bases(3, 3).values():
+            for word in words:
                 lhs = {}
                 rhs = {}
                 for (w1, w2), c in C.reduced_coproduct(word).items():
@@ -165,7 +268,7 @@ def test_sl2_scalars_are_ints():
     C = ce_complex(a, 6)
     omega = cobar(C, 4, 6)
     vectors = list(a.bracket.values())
-    vectors += [C.diff(w) for words in C.words_by_hdeg(3).values()
+    vectors += [C.diff(w) for words in C.alg.monomial_bases(3, 3).values()
                 for w in words]
     vectors += list(omega.differential.values())
     assert len(omega.differential) == 4
