@@ -71,15 +71,23 @@ class BettiTable:
 
     @classmethod
     def from_json(cls, text):
-        """The table to_json wrote.  Raises ValueError on an entry that is
-        not an int dimension >= 0 inside the caps."""
+        """The table to_json wrote.  Raises ValueError unless both caps and
+        every h, w and dimension are ints (a JSON true or 1.0 is not), each
+        entry is a dimension >= 0 inside the caps, and no (h, w) repeats."""
         data = json.loads(text)
         t = cls(data["deg_cap"], data["weight_cap"])
+        if type(t.deg_cap) is not int or type(t.weight_cap) is not int:
+            raise ValueError("caps %r are not ints"
+                             % ([t.deg_cap, t.weight_cap],))
+        seen = set()
         for h, w, d in data["entries"]:
-            if type(d) is not int or not (0 <= h <= t.deg_cap
-                                          and 0 <= w <= t.weight_cap):
-                raise ValueError("entry %r is not a dimension inside the "
-                                 "caps" % ([h, w, d],))
+            if not all(type(x) is int for x in (h, w, d)) \
+                    or (h, w) in seen or not (0 <= h <= t.deg_cap
+                                              and 0 <= w <= t.weight_cap):
+                raise ValueError("entry %r is not an int dimension inside "
+                                 "the caps, or repeats a position"
+                                 % ([h, w, d],))
+            seen.add((h, w))
             t.set(h, w, d)
         return t
 

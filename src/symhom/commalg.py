@@ -89,9 +89,6 @@ class CommDGAlgebra:
     def mono_hdeg(self, mono):
         return sum(self.generators[i].hdeg for i in mono)
 
-    def mono_weight(self, mono):
-        return sum(self.generators[i].weight for i in mono)
-
     def d(self, p):
         """Derivation differential of a polynomial.
 
@@ -162,40 +159,18 @@ class CommDGAlgebra:
             bases.get((hdeg - 1, weight + self.weight_shift), []),
             lambda mono: self.d({mono: 1}))
 
-    def _homology(self, positions):
-        """{(h, w): dim} through the shared block driver.  The blocks at
-        (h, w) reach degree h + 1 and weight w - weight_shift (the shift
-        is <= 0), so one monomial_bases call supplies every basis."""
-        bases = self.monomial_bases(
-            max((h for h, _ in positions), default=-1) + 1,
-            max((w for _, w in positions), default=0) - self.weight_shift)
-        return homology_by_blocks(
-            positions, lambda h, w: self.block_matrix(h, w, bases),
-            self.weight_shift)
-
     def homology_table(self, deg_cap, weight_cap):
-        """BettiTable of blockwise homology, exact within the caps."""
+        """BettiTable of blockwise homology, exact within the caps.  The
+        blocks at (h, w) reach degree h + 1 and weight w - weight_shift
+        (the shift is <= 0), so one monomial_bases call supplies every
+        basis."""
+        bases = self.monomial_bases(deg_cap + 1,
+                                    weight_cap - self.weight_shift)
         positions = [(h, w) for h in range(deg_cap + 1)
                      for w in range(weight_cap + 1)]
-        return BettiTable(deg_cap, weight_cap, self._homology(positions))
-
-    def euler_check(self, weight, deg_cap):
-        """Per-weight Euler characteristic conservation.
-
-        Valid when the weight-`weight` part of the complex is entirely
-        below deg_cap (raises otherwise) and the weight shift is 0.
-        """
-        if self.weight_shift != 0:
-            raise ValueError("Euler check needs a weight-preserving d")
-        bases = self.monomial_bases(deg_cap + 1, weight)
-        dims = [len(bases.get((h, weight), [])) for h in range(deg_cap + 2)]
-        if dims[deg_cap + 1]:
-            raise ValueError("weight %d block extends beyond deg_cap" % weight)
-        chi_complex = sum((-1) ** h * dims[h] for h in range(deg_cap + 1))
-        homology = self._homology([(h, weight) for h in range(deg_cap + 1)])
-        chi_homology = sum((-1) ** h * dim
-                           for (h, _), dim in homology.items())
-        return chi_complex == chi_homology
+        return BettiTable(deg_cap, weight_cap, homology_by_blocks(
+            positions, lambda h, w: self.block_matrix(h, w, bases),
+            self.weight_shift))
 
 
 def abelianize(R):

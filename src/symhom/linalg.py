@@ -179,10 +179,6 @@ class SparseMatrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 
-    def __repr__(self):
-        return "SparseMatrix(%d, %d, nnz=%d)" % (
-            self.rows, self.cols, len(self.entries))
-
 
 def eliminate(rows):
     """Markowitz elimination of a list of sparse rows (dicts col -> scalar).

@@ -321,15 +321,39 @@ def _float_dimension(record):
     record["result"]["entries"][0][2] = 1.5
 
 
+def _float_position(record):
+    record["result"]["entries"][1][0] = 0.5
+
+
+def _bool_position(record):
+    record["result"]["entries"][1][0] = True
+
+
+def _float_cap(record):
+    record["result"]["weight_cap"] = 4.0
+
+
+def _bool_cap(record):
+    record["result"]["deg_cap"] = True  # equals the job's deg_cap 1
+
+
+def _repeated_entry(record):
+    record["result"]["entries"].append(record["result"]["entries"][0])
+
+
 @pytest.mark.parametrize("damage", [None, _other_job, _bad_entries,
                                     _no_deg_cap, _other_caps,
-                                    _past_the_caps, _float_dimension],
+                                    _past_the_caps, _float_dimension,
+                                    _float_position, _bool_position,
+                                    _float_cap, _bool_cap, _repeated_entry],
                          ids=["truncate", "other-job", "bad-entries",
                               "no-deg-cap", "other-caps", "past-the-caps",
-                              "float-dimension"])
+                              "float-dimension", "float-position",
+                              "bool-position", "float-cap", "bool-cap",
+                              "repeated-entry"])
 def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
                                                      damage):
-    args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "2",
+    args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "1",
             "--weight-cap", "4", "--format", "json",
             "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *args)

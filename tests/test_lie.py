@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from symhom.commalg import sort_word
 from symhom.freealg import FreeDGAlgebra
 from symhom.lie import (CECoalgebra, DGLie, abelian_lie, ce_complex,
                         ce_homology, cobar, direct_sum, heisenberg,
                         hs_env_closed_form, hs_env_via_cobar, nonabelian_2dim,
                         sl2)
+from symhom.linalg import CompositionNonZeroError, add_term
 from symhom.rationals import QQ, ZERO
 
 
@@ -251,7 +253,7 @@ def test_reduced_coproduct_coassociativity():
 
 def test_cobar_d_squared():
     for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2)):
-        C = ce_complex(a, 6)
+        C = ce_complex(a)
         omega = cobar(C, 4, 6)
         assert omega.check_d_squared(4, 6)
 
@@ -259,13 +261,49 @@ def test_cobar_d_squared():
 def test_cobar_flipped_sign_breaks_d_squared():
     # negative control: dropping the desuspension Koszul factor must not
     # give a differential (detected by a Lie algebra with enough bracket)
-    assert not flipped_cobar(ce_complex(sl2(), 6)).check_d_squared(4, 6)
+    assert not flipped_cobar(ce_complex(sl2())).check_d_squared(4, 6)
+
+
+def doubled_first_contraction(diff):
+    """CECoalgebra.diff with the contraction of a word's first two letters
+    added a second time on words of length >= 4: a sign error that
+    validate, which only sees words of length <= 3, cannot see."""
+    def broken(self, word):
+        out = diff(self, word)
+        if len(word) >= 4:
+            coeff = 1 if self.parities[word[0]] else -1
+            for k, c in self.lie.bkt(word[0], word[1]).items():
+                sign, mono = sort_word((k,) + word[2:], self.parities)
+                if sign:
+                    add_term(out, mono, coeff * c * sign)
+        return out
+    return broken
+
+
+@pytest.mark.parametrize("make", [
+    lambda: direct_sum(sl2(), heisenberg()),
+    lambda: direct_sum(sl2(), nonabelian_2dim()),
+], ids=["sl2+heisenberg", "sl2+nab2"])
+def test_a_ce_sign_error_on_long_words_fails_every_lie_route(make,
+                                                             monkeypatch):
+    # no route checks d^2 on the whole CE box first: the d o d = 0 check
+    # on each block a table reads is what catches the broken sign
+    a = make()
+    routes = [lambda: ce_homology(a, 5), lambda: hs_env_via_cobar(a, 3, 5),
+              lambda: hs_env_closed_form(a, 3, 5)]
+    ce, via_cobar, closed_form = (route() for route in routes)
+    assert len(ce) == 6 and via_cobar == closed_form
+    monkeypatch.setattr(CECoalgebra, "diff",
+                        doubled_first_contraction(CECoalgebra.diff))
+    for route in routes:
+        with pytest.raises(CompositionNonZeroError):
+            route()
 
 
 def test_sl2_scalars_are_ints():
     # a silent fall-back to Fraction arithmetic fails here
     a = sl2()
-    C = ce_complex(a, 6)
+    C = ce_complex(a)
     omega = cobar(C, 4, 6)
     vectors = list(a.bracket.values())
     vectors += [C.diff(w) for words in C.alg.monomial_bases(3, 3).values()

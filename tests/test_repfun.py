@@ -21,7 +21,7 @@ def test_rep_1_matches_abelianization():
 @pytest.mark.parametrize("R", [
     dual_numbers_resolution(4),
     # the sl2 cobar algebra as hs_env_via_cobar builds it at caps (3, 4)
-    cobar(ce_complex(sl2(), 6), 4, 5),
+    cobar(ce_complex(sl2()), 4, 5),
 ], ids=["dual-numbers", "sl2-cobar"])
 def test_rep_1_is_the_abelianization_renamed(R):
     S, ab = rep_n(R, 1), abelianize(R)

@@ -8,15 +8,19 @@ for byte, the outputs recorded in perfbench/oracles.json: they are the
 behaviour contract of a refactor.
 Inside the package, every import is used and every export exists, and a
 table computation leaves no reference cycle behind: a cycle would keep
-its per-call caches alive until the cyclic collector runs."""
+its per-call caches alive until the cyclic collector runs.  The package
+functions no CLI job enters are exactly a listed few, each kept for a
+named user."""
 
 import ast
 import gc
 import glob
 import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -203,3 +207,153 @@ def test_table_computations_leave_no_reference_cycle(job):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The package functions no job of CLI_JOBS enters, each with its user: a
+# test that uses it as an oracle, or the benchmark file that hooks it.
+# Anything else a route does not reach is deleted.
+UNREACHED = {
+    "bar.bar_level_basis":
+        "tests/test_bar.py::"
+        "test_level_zero_basis_is_symmetric_algebra_on_ideal",
+    "bar.face_map": "tests/test_bar.py::test_simplicial_identities",
+    "betti.BettiTable.degree_totals":
+        "tests/test_acceptance.py::test_criterion_1_dual_numbers_dg_table",
+    "commalg.CommDGAlgebra.monomial_basis": "perfbench/spans.py",
+    "deltas.abelianization_quotient":
+        "tests/test_bar.py::test_degree_zero_homology_is_abelianization",
+    "deltas.face_embedding":
+        "tests/test_deltas.py::test_bar_action_identity_and_units",
+    "deltas.identity":
+        "tests/test_deltas.py::test_identity_laws_exhaustive_small",
+    "findim.FinDimAlgebra.to_json":
+        "tests/test_findim.py::test_json_round_trip",
+    "freealg.FreeDGAlgebra.to_json":
+        "tests/test_freealg.py::test_json_round_trip",
+    "lie.CECoalgebra.check_d_squared": "tests/test_lie.py::"
+        "test_validate_accepts_exactly_the_brute_force_dg_lie_algebras",
+    "lie.direct_sum": "tests/test_lie.py::"
+        "test_a_ce_sign_error_on_long_words_fails_every_lie_route",
+    "linalg.QuotientSpace.project":
+        "tests/test_linalg.py::test_quotient_space_matches_dense_reference",
+    "linalg.SparseMatrix.__eq__":
+        "tests/test_repfun.py::test_trace_is_a_chain_map",
+    "linalg.homology_dim": "perfbench/spans.py",
+    # the cyclic-word quotient and the trace into rep_n wait for a route
+    # of their own (cyclic homology) or their deletion
+    "repfun._necklace":
+        "tests/test_repfun.py::test_necklace_rotation_invariance",
+    "repfun.CyclicQuotientComplex.__init__":
+        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
+    "repfun.CyclicQuotientComplex._words":
+        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
+    "repfun.CyclicQuotientComplex.basis":
+        "tests/test_repfun.py::test_cyclic_basis_excludes_vanishing_necklaces",
+    "repfun.CyclicQuotientComplex.block_matrix":
+        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
+    "repfun.CyclicQuotientComplex.project":
+        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
+    "repfun.trace_chain_map":
+        "tests/test_repfun.py::test_trace_is_a_chain_map",
+}
+
+
+def package_functions():
+    """{code object: "module.qualname"} of every function defined in a
+    symhom module, at module level or in a class body.  classmethod,
+    staticmethod, property and functools.cache are unwrapped to the
+    function that runs.  A frame is matched by its code object: the line
+    number of a decorated function is its decorator's, and co_qualname is
+    newer than the oldest supported Python."""
+    out = {}
+    for info in pkgutil.iter_modules(symhom.__path__):
+        module = importlib.import_module("symhom." + info.name)
+
+        def add(obj):
+            if isinstance(obj, property):
+                for fn in (obj.fget, obj.fset, obj.fdel):
+                    add(fn)
+                return
+            obj = getattr(obj, "__func__", obj)  # classmethod, staticmethod
+            obj = getattr(obj, "__wrapped__", obj)  # functools.cache
+            code = getattr(obj, "__code__", None)
+            # a dataclass's generated methods are compiled from no file
+            if code is not None and code.co_filename == module.__file__:
+                out[code] = "%s.%s" % (info.name, obj.__qualname__)
+
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(value):
+                for attr in vars(value).values():
+                    add(attr)
+            else:
+                add(value)
+    return out
+
+
+BUILTIN_INPUTS = [name.replace(":N", ":2") for name in cli.BUILTINS]
+CAPS = ["--deg-cap", "1", "--weight-cap", "2"]
+
+
+def cli_jobs(tmp_path):
+    """The replayed traffic: every built-in under every pipeline and
+    under hs0, hc0 and ce (a built-in without the form a command reads
+    exits 2, and that path is traffic too), dg and bar at --n 2, the
+    three deltaS ops, compare, selftest, one JSON file of each kind as a
+    cache miss and then a hit, and every --format."""
+    jobs = []
+    for name in BUILTIN_INPUTS:
+        jobs += [["hs", name, "--pipeline", p, *CAPS] for p in cli.PIPELINES]
+        jobs += [[cmd, name, "--arity-cap", "2", "--weight-cap", "2"]
+                 for cmd in ("hs0", "hc0")]
+        jobs.append(["ce", name, "--deg-cap", "2"])
+    jobs += [["hs", "dual-numbers", "--pipeline", p, "--n", "2", *CAPS]
+             for p in ("dg", "bar")]
+    jobs += [["deltaS", "compose", "(x1 x0)|(x2)", "(x0 x1)"],
+             ["deltaS", "factor", "(x1 x0)|(x2)"],
+             ["deltaS", "psi", "(x1 x0)|(x2)"],
+             ["compare", "hr dual-numbers " + " ".join(CAPS),
+              "hs dual-numbers --pipeline bar " + " ".join(CAPS)],
+             ["selftest"]]
+    files = {"resolution.json": dual_numbers_resolution(3).to_json(),
+             "algebra.json": dual_numbers_algebra().to_json(),
+             "lie.json": json.dumps({"basis": [{"name": "x"}, {"name": "y"}],
+                                     "bracket": [["x", "y", {"y": 1}]]})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        job = ["hs", str(tmp_path / name), *CAPS,
+               "--cache-dir", str(tmp_path / "cache")]
+        jobs += [job, job]  # a miss, then a hit
+    jobs += [["hr", "dual-numbers", "--format", fmt, *CAPS]
+             for fmt in ("human", "json", "csv")]
+    return jobs
+
+
+def test_unreached_functions_are_exactly_the_listed_ones(tmp_path):
+    jobs = cli_jobs(tmp_path)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    cli.build_parser.cache_clear()  # so that a job builds the parser
+    for argv in jobs:
+        sys.setprofile(profile)
+        try:
+            cli.main(argv)
+        finally:
+            sys.setprofile(None)
+    unreached = sorted(name for code, name in package_functions().items()
+                       if code not in entered)
+    assert unreached == sorted(UNREACHED)
+    # each user exists: a benchmark file, or a test defined in its file
+    for user in UNREACHED.values():
+        path, _, test = user.partition("::")
+        assert path.startswith(("tests/", "perfbench/")), user
+        with open(os.path.join(ROOT, path)) as fh:
+            tree = ast.parse(fh.read())
+        assert not test or test in {node.name for node in tree.body
+                                    if isinstance(node, ast.FunctionDef)}, \
+            user
