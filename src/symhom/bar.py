@@ -303,13 +303,15 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     # levels[lev - 1] holds the children of levels[lev]: face 0 of a
     # nondegenerate monomial, its factors' children, is nondegenerate
     tables, _ = _face_tables(A, levels, n)
-    # the blocks of each level still to build: homology_by_blocks builds
-    # each once, and a level's tables are dropped with its last block
-    unbuilt = [weight_cap + 1] * len(levels)
+    # the blocks of each level still to build, those between two nonzero
+    # groups, which homology_by_blocks builds once each: a level's tables
+    # are dropped with its last block, at once when it has none
+    unbuilt = [sum(1 for w in range(weight_cap + 1)
+                   if lev and bases[lev, w] and bases[lev - 1, w])
+               for lev in range(len(levels))]
+    tables[:] = [t if count else None for t, count in zip(tables, unbuilt)]
 
     def block(lev, w):
-        if lev == 0:
-            return SparseMatrix(0, len(bases[0, w]))
         tgt = bases[lev - 1, w]
         nondegenerate = set(tgt)
 
@@ -328,4 +330,4 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     positions = [(lev, w) for lev in range(deg_cap + 1)
                  for w in range(weight_cap + 1)]
     return BettiTable(deg_cap, weight_cap,
-                      homology_by_blocks(positions, block, 0))
+                      homology_by_blocks(positions, block, 0, bases))

@@ -14,6 +14,8 @@ class BettiTable:
     """
 
     def __init__(self, deg_cap, weight_cap, entries=None):
+        if min(deg_cap, weight_cap) < 0:
+            raise ValueError("caps %r must be >= 0" % ([deg_cap, weight_cap],))
         self.deg_cap = deg_cap
         self.weight_cap = weight_cap
         self.entries = {}
@@ -75,10 +77,10 @@ class BettiTable:
         every h, w and dimension are ints (a JSON true or 1.0 is not), each
         entry is a dimension >= 0 inside the caps, and no (h, w) repeats."""
         data = json.loads(text)
-        t = cls(data["deg_cap"], data["weight_cap"])
-        if type(t.deg_cap) is not int or type(t.weight_cap) is not int:
-            raise ValueError("caps %r are not ints"
-                             % ([t.deg_cap, t.weight_cap],))
+        caps = [data["deg_cap"], data["weight_cap"]]
+        if type(caps[0]) is not int or type(caps[1]) is not int:
+            raise ValueError("caps %r are not ints" % (caps,))
+        t = cls(*caps)
         seen = set()
         for h, w, d in data["entries"]:
             if not all(type(x) is int for x in (h, w, d)) \

@@ -7,15 +7,20 @@ names.  The constructor sorts each word into a monomial, a nondecreasing
 tuple of generator indices: odd-degree generators square to zero and
 reordering follows the Koszul rule.  So the abelianization of a
 semi-free algebra on (V, d) is the CommDGAlgebra on the same (V, d).
+Every Koszul sign comes from _merge, the product of two monomials:
+sort_word merges in a word's letters one at a time, and d merges each
+term of d(x) into the rest of a monomial, never re-sorting it whole.
 freealg.grading_shifts checks the grading of both classes; here the
 sorted differential must shift weight by one fixed amount (0 for honest
 weight gradings, -1 for the abelianized cobar of a plain Lie algebra).
 
 homology_table hands its blocks to linalg.homology_by_blocks, which
-builds and ranks each block once.  The block bases come from one
+builds and ranks each nonzero block once.  The block bases come from one
 enumeration of the box the call needs (monomial_bases), which visits each
 monomial of the box once and lives only for that call.
 """
+
+from bisect import bisect_left
 
 from .betti import BettiTable
 from .freealg import grading_shifts
@@ -24,26 +29,35 @@ from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
 __all__ = ["CommDGAlgebra", "sort_word", "abelianize"]
 
 
+def _merge(a, b, parities):
+    """The product a . b of two monomials as (sign, monomial): the Koszul
+    sign is -1 to the number of odd pairs (x in a, y in b) with x > y, and
+    an odd letter in both makes the product 0, given as (0, None)."""
+    flips = 0
+    odd_a = [x for x in a if parities[x]]
+    if odd_a:
+        odd_b = [y for y in b if parities[y]]
+        for x in odd_a:
+            i = bisect_left(odd_b, x)
+            if i < len(odd_b) and odd_b[i] == x:
+                return 0, None
+            flips += i
+    return -1 if flips & 1 else 1, tuple(sorted(a + b))
+
+
 def sort_word(word, parities):
     """Sort a word of generator indices into a canonical monomial.
 
     Returns (sign, monomial) with the Koszul sign of the sorting
-    permutation, or (0, None) when an odd generator repeats.
-    """
-    word = list(word)
-    sign = 1
-    # insertion sort; each adjacent swap of two odd letters flips the sign
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            if parities[word[j - 1]] and parities[word[j]]:
-                sign = -sign
-            word[j - 1], word[j] = word[j], word[j - 1]
-            j -= 1
-    for i in range(1, len(word)):
-        if word[i] == word[i - 1] and parities[word[i]]:
+    permutation, or (0, None) when an odd generator repeats: the word is
+    the product of its letters, merged in one at a time."""
+    sign, mono = 1, ()
+    for x in word:
+        s, mono = _merge(mono, (x,), parities)
+        if not s:
             return 0, None
-    return sign, tuple(word)
+        sign *= s
+    return sign, mono
 
 
 class CommDGAlgebra:
@@ -92,28 +106,30 @@ class CommDGAlgebra:
     def d(self, p):
         """Derivation differential of a polynomial.
 
-        Each term pre . d(g) . post is sorted once; its Koszul sign is the
-        product of the signs of sorting pre . d(g) and then the rest.
+        At a letter x of a sorted monomial pre . x . post the term is
+        (-1)^|pre| pre . d(x) . post = +-d(x) . (pre . post), -1 when x and
+        the count of odd letters in pre are both odd (d(x) has the other
+        parity); each term of d(x) is merged into pre . post (_merge).
         """
         out = {}
+        parities = self.parities
         for mono, c in p.items():
-            sign = c
+            odd_pre = 0
             for r, i in enumerate(mono):
                 dg = self.differential.get(i)
                 if dg is not None:
-                    pre, post = mono[:r], mono[r + 1:]
+                    rest = mono[:r] + mono[r + 1:]
+                    sign = -c if odd_pre & parities[i] else c
                     for m, cg in dg.items():
-                        s, word = sort_word(pre + m + post, self.parities)
+                        s, word = _merge(m, rest, parities)
                         if not s:
                             continue
-                        term = sign * cg
-                        v = out.get(word, 0) + (term if s > 0 else -term)
+                        v = out.get(word, 0) + s * sign * cg
                         if v:
                             out[word] = v
                         elif word in out:
                             del out[word]
-                if self.parities[i]:
-                    sign = -sign
+                odd_pre += parities[i]
         return out
 
     def check_d_squared(self, deg_cap, weight_cap):
@@ -170,7 +186,7 @@ class CommDGAlgebra:
                      for w in range(weight_cap + 1)]
         return BettiTable(deg_cap, weight_cap, homology_by_blocks(
             positions, lambda h, w: self.block_matrix(h, w, bases),
-            self.weight_shift))
+            self.weight_shift, bases))
 
 
 def abelianize(R):

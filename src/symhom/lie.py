@@ -218,8 +218,7 @@ def _ce_dims(a, cap):
     return homology_by_blocks(
         sorted(pos for pos in bases if pos[0] <= cap),
         lambda h, ell: SparseMatrix.from_images(
-            bases.get((h, ell), []), bases.get((h - 1, ell + shift), []),
-            C.diff), shift)
+            bases[h, ell], bases[h - 1, ell + shift], C.diff), shift, bases)
 
 
 def ce_homology(a, cap):

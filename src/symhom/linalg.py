@@ -27,10 +27,12 @@ the rank (their number) and quotient normal forms (reduction by them,
 QuotientSpace).
 
 homology_by_blocks is the one homology loop of the package: given the
-positions of a bigraded complex and a block builder, it builds and ranks
-each block once and checks d . d = 0 at every position.
+positions of a bigraded complex, its groups' bases and a block builder,
+it builds and ranks each nonzero block once and checks d . d = 0 at
+every position whose two blocks are nonzero.
 """
 
+from collections import Counter
 from heapq import heappop, heappush
 
 from .rationals import QQ
@@ -138,14 +140,19 @@ class SparseMatrix:
 
         image(x) is a sparse vector keyed by elements of tgt; a key
         outside tgt raises KeyError, since the map does not land in the
-        target block.
+        target block.  The entries are written in place, each made exact
+        (an int passes as it is), with no bounds check: rows and columns
+        come from the bases.
         """
         row = {m: r for r, m in enumerate(tgt)}
-        entries = {}
+        M = cls(len(tgt), len(src))
+        entries = M.entries
         for col, x in enumerate(src):
             for m, v in image(x).items():
-                entries[(row[m], col)] = v
-        return cls(len(tgt), len(src), entries)
+                v = v if type(v) is int else exact(v)
+                if v:
+                    entries[row[m], col] = v
+        return M
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -282,49 +289,59 @@ class QuotientSpace:
 def homology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for a block C_in -> C_mid -> C_out.
 
-    d_out: C_mid -> C_out, d_in: C_in -> C_mid.  Raises
-    CompositionNonZeroError when d_out . d_in != 0.
+    d_out: C_mid -> C_out, d_in: C_in -> C_mid.  Raises ValueError when
+    the middle dimensions disagree, and CompositionNonZeroError when
+    d_out . d_in != 0.
     """
+    if d_out.cols != d_in.rows:
+        raise ValueError("middle dimensions disagree: %d vs %d"
+                         % (d_out.cols, d_in.rows))
     blocks = (d_out, d_in)
-    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0)[(0, 0)]
+    groups = {(-1, 0): range(d_out.rows), (0, 0): range(d_out.cols),
+              (1, 0): range(d_in.cols)}
+    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0,
+                              groups)[(0, 0)]
 
 
-def homology_by_blocks(positions, block, shift):
+def homology_by_blocks(positions, block, shift, bases):
     """{(h, w): dim H_{h,w}} of a bigraded complex at the given positions.
 
-    block(h, w) is the matrix of d from C_{h,w} to C_{h-1,w+shift}, so the
-    homology at (h, w) needs block(h, w) and block(h+1, w-shift).  Within
-    one call each block is built once and ranked once; a block is dropped
-    as soon as no remaining position needs it.  Raises ValueError when two
-    blocks do not compose, and CompositionNonZeroError when d . d != 0 at
-    a position or a dimension comes out negative.
+    bases maps (h, w) to the basis of C_{h,w} (none: a zero group), and
+    block(h, w) is the matrix of d: C_{h,w} -> C_{h-1,w+shift} on them.
+    Per call, a block between two nonzero groups is built and ranked once
+    and dropped when no later position needs it; d . d = 0 is checked at
+    every position whose two blocks are nonzero.  No other block is built:
+    it is zero, since every route's d is graded where its input enters
+    (freealg.grading_shifts checks hdeg - 1 and one weight shift, bar
+    faces lower the level and keep the weight, CE is graded by
+    construction) and each group holds every monomial of its bidegree.
+    Raises ValueError when two blocks do not compose, and
+    CompositionNonZeroError when d . d != 0 at a position or a dimension
+    comes out negative.
     """
     pairs = [((h, w), (h + 1, w - shift)) for h, w in positions]
-    uses = {}
-    for pair in pairs:
-        for key in pair:
-            uses[key] = uses.get(key, 0) + 1
+    uses = Counter((h, w) for pair in pairs for h, w in pair
+                   if bases.get((h, w)) and bases.get((h - 1, w + shift)))
     blocks = {}
     ranks = {}
     out = {}
     for (h, w), pair in zip(positions, pairs):
-        for key in pair:
+        dim = len(bases.get((h, w), ()))
+        built = [key for key in pair if key in uses]
+        for key in built:
             if key not in ranks:
                 blocks[key] = block(*key)
                 ranks[key] = rank(blocks[key])
-        d_out, d_in = (blocks[key] for key in pair)
-        if d_out.cols != d_in.rows:
-            raise ValueError("middle dimensions disagree: %d vs %d"
-                             % (d_out.cols, d_in.rows))
-        if not d_out.matmul(d_in).is_zero():
+            dim -= ranks[key]
+        if len(built) == 2 and \
+                not blocks[pair[0]].matmul(blocks[pair[1]]).is_zero():
             raise CompositionNonZeroError(
                 "d_out . d_in != 0 at (%d, %d): not a complex" % (h, w))
-        dim = d_out.cols - ranks[pair[0]] - ranks[pair[1]]
         if dim < 0:
             raise CompositionNonZeroError(
                 "negative homology dimension at (%d, %d)" % (h, w))
         out[(h, w)] = dim
-        for key in pair:
+        for key in built:
             uses[key] -= 1
             if not uses[key]:
                 del blocks[key]

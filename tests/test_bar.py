@@ -233,7 +233,6 @@ def test_budget_counts_decorated_monomials(n):
 
 
 def test_each_tree_s_faces_are_computed_once_per_call(monkeypatch):
-    A = dual_numbers_algebra()
     computed = []
     towers = []
     built = []
@@ -250,15 +249,20 @@ def test_each_tree_s_faces_are_computed_once_per_call(monkeypatch):
 
     monkeypatch.setattr(bar, "_tree_faces", tree_faces)
     monkeypatch.setattr(bar, "_face_tables", face_tables)
-    hr_via_bar(A, 3, 5, n=2)
-    # one tower of trees per call: the trees of each level's basis
-    assert towers == [[sorted({t for mono in bar_level_basis(A, lev, 5)
-                               for t in mono}) for lev in range(5)]]
-    # and the faces of each tree of levels >= 1 once
-    assert len(set(computed)) == len(computed) == \
-        sum(len(level) for level in towers[0][1:])
-    # each level's tables are dropped with its last block
-    assert built[0][1:] == [None] * 4
+    # free:2 below weight 4 has empty levels 3 and 4, which build no block
+    for A, weight_cap, n in [(dual_numbers_algebra(), 5, 2),
+                             (free_tensor_algebra(2, 3), 3, 1)]:
+        for seen in (computed, towers, built):
+            seen.clear()
+        hr_via_bar(A, 3, weight_cap, n=n)
+        # one tower of trees per call: the trees of each level's basis
+        assert towers == [[sorted({t for mono in bar_level_basis(
+            A, lev, weight_cap) for t in mono}) for lev in range(5)]]
+        # and the faces of each tree of levels >= 1 once
+        assert len(set(computed)) == len(computed) == \
+            sum(len(level) for level in towers[0][1:])
+        # each level's tables are dropped with its last block
+        assert built[0][1:] == [None] * 4
 
 
 # The per-monomial face maps on (tree, a, b) factors that hr_via_bar's face
@@ -344,20 +348,25 @@ def test_blocks_match_the_per_monomial_faces(A, caps, monkeypatch):
     blocks = {}
     real = bar.homology_by_blocks
 
-    def recording(positions, block, shift):
+    def recording(positions, block, shift, bases):
         def kept(lev, w):
             blocks[lev, w] = block(lev, w)
             return blocks[lev, w]
-        return real(positions, kept, shift)
+        return real(positions, kept, shift, bases)
 
     monkeypatch.setattr(bar, "homology_by_blocks", recording)
     for n, (deg_cap, weight_cap) in caps.items():
         blocks.clear()
         hr_via_bar(A, deg_cap, weight_cap, n=n)
-        assert sorted(blocks) == [(lev, w) for lev in range(deg_cap + 2)
-                                  for w in range(weight_cap + 1)]
-        for (lev, w), M in blocks.items():
-            if lev:
+        # every built block is the reference; every other one has a zero
+        # side (level 0 maps to the zero group below it)
+        for lev in range(1, deg_cap + 2):
+            for w in range(weight_cap + 1):
                 ref = _reference_block(A, lev, w, n)
+                if (lev, w) not in blocks:
+                    assert not (ref.rows and ref.cols), (n, lev, w)
+                    continue
+                M = blocks[lev, w]
                 assert (M.rows, M.cols) == (ref.rows, ref.cols), (n, lev, w)
                 assert M.entries == ref.entries, (n, lev, w)
+        assert all(lev for lev, _ in blocks)

@@ -12,10 +12,12 @@ import pytest
 from symhom import __version__, cli, deltas
 from symhom.bar import hr_via_bar
 from symhom.betti import BettiTable
+from symhom.commalg import abelianize
 from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
                            truncated_poly_algebra)
 from symhom.freealg import FreeDGAlgebra, dual_numbers_resolution
-from symhom.lie import DGLie
+from symhom.lie import DGLie, hs_env_via_cobar, sl2
+from symhom.repfun import hr_n
 
 
 def run(capsys, *argv):
@@ -696,3 +698,19 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
                 if "error:" in line]) == 1
     if argv[0] == "deltaS":
         assert "deltaS %s" % argv[1] in out.err
+
+
+@pytest.mark.parametrize("route", [
+    lambda: hr_via_bar(dual_numbers_algebra(), -1, 3),
+    lambda: abelianize(dual_numbers_resolution(4)).homology_table(-1, 3),
+    lambda: hs_env_via_cobar(sl2(), -1, 2),
+    lambda: hr_n(dual_numbers_resolution(4), 2, -1, 2),
+    lambda: hr_via_bar(dual_numbers_algebra(), 2, -1),
+    lambda: BettiTable.from_json('{"deg_cap": 1, "weight_cap": -1, '
+                                 '"entries": []}'),
+], ids=["bar", "dg", "cobar", "hr-n", "bar-weight", "from-json"])
+def test_a_negative_cap_is_a_value_error(route):
+    # as the CLI refuses one at argparse, a route called directly gives
+    # no empty table for a negative cap
+    with pytest.raises(ValueError, match="must be >= 0"):
+        route()

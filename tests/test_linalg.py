@@ -244,11 +244,15 @@ def test_quotient_projection_is_linear():
         assert summed == pb
 
 
+def simplex_faces(h, w):
+    """The h-faces of the (w+1)-vertex simplex; none for h < 0."""
+    return list(itertools.combinations(range(w + 1), h + 1)) if h >= 0 else []
+
+
 def simplex_boundary(h, w, signed=True):
     """Boundary of the (w+1)-vertex simplex from h-faces to (h-1)-faces;
     without signs it is not a differential."""
-    src = list(itertools.combinations(range(w + 1), h + 1))
-    tgt = list(itertools.combinations(range(w + 1), h)) if h else []
+    src, tgt = simplex_faces(h, w), simplex_faces(h - 1, w)
     ti = {t: r for r, t in enumerate(tgt)}
     entries = {}
     for c, face in enumerate(src):
@@ -256,6 +260,12 @@ def simplex_boundary(h, w, signed=True):
             sign = (-1) ** k if signed else 1
             entries[(ti[face[:k] + face[k + 1:]], c)] = sign
     return SparseMatrix(len(tgt), len(src), entries)
+
+
+def simplex_groups(hdeg_cap, weight_cap):
+    """{(h, w): h-faces of the (w+1)-vertex simplex} within the caps."""
+    return {(h, w): simplex_faces(h, w) for h in range(hdeg_cap + 1)
+            for w in range(weight_cap + 1)}
 
 
 def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
@@ -273,10 +283,13 @@ def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", counting_rank)
     positions = [(h, w) for h in range(4) for w in range(4)]
-    dims = homology_by_blocks(positions, block, 0)
+    dims = homology_by_blocks(positions, block, 0, simplex_groups(4, 3))
     # a simplex is connected and acyclic
     assert dims == {(h, w): int(h == 0) for h, w in positions}
-    assert sorted(built) == [(h, w) for h in range(5) for w in range(4)]
+    # exactly the blocks between two nonzero groups: h-faces exist for
+    # h <= w, and (h-1)-faces for h >= 1; blocks (0, w) and (4, w) are not
+    assert sorted(built) == [(h, w) for h in range(1, 5)
+                             for w in range(4) if h <= w]
     assert len(ranked) == len(built)
 
 
@@ -284,7 +297,8 @@ def test_homology_by_blocks_rejects_non_complex():
     positions = [(h, w) for h in range(3) for w in range(3)]
     with pytest.raises(CompositionNonZeroError):
         homology_by_blocks(
-            positions, lambda h, w: simplex_boundary(h, w, signed=False), 0)
+            positions, lambda h, w: simplex_boundary(h, w, signed=False), 0,
+            simplex_groups(3, 2))
 
 
 # integral scalars ------------------------------------------------------

@@ -357,3 +357,14 @@ def test_unreached_functions_are_exactly_the_listed_ones(tmp_path):
         assert not test or test in {node.name for node in tree.body
                                     if isinstance(node, ast.FunctionDef)}, \
             user
+
+
+def test_ab_runs_an_a_a_comparison_without_failures():
+    # the working tree against itself on dg-deep
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab.py"), ROOT, ROOT,
+         "--workload", "dg-deep", "--seconds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("change ") and last.endswith(" failed 0")
