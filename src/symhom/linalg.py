@@ -11,8 +11,9 @@ depends on which type holds a value.
 
 Vectors are plain dictionaries key -> nonzero scalar, the only vector type
 in the package (polynomials, bar and symmetric bar elements, Lie algebra
-elements); add_term is the one "add, drop if zero" step on them.
-Matrices are dictionaries (row, col) -> nonzero scalar, and
+elements); add_term is the one "add, drop if zero" step on them.  A
+SparseMatrix holds its rows, a list of such dicts col -> scalar, so
+elimination and products read rows with no (row, col) keys.
 SparseMatrix.from_images is the one block builder: every block of every
 complex in the package is the matrix of the images of a source basis,
 written on a target basis.
@@ -29,7 +30,13 @@ QuotientSpace).
 homology_by_blocks is the one homology loop of the package: given the
 positions of a bigraded complex, its groups' bases and a block builder,
 it builds and ranks each nonzero block once and checks d . d = 0 at
-every position whose two blocks are nonzero.
+every position whose two blocks are nonzero.  It ranks d_in: C_in ->
+C_mid without the rows at the pivot columns of d_out: C_mid -> C_out
+(clearing, de Silva-Morozov-Vejdemo-Johansson 2011).  Those columns are
+independent, so deleting their coordinates is injective on ker d_out,
+which holds im d_in when d_out . d_in = 0: the rank is unchanged.  So a
+block is cleared only where its product with d_out is checked, and a
+block ranked before the one below it is ranked whole.
 """
 
 from collections import Counter
@@ -118,21 +125,25 @@ def add_term(acc, key, c):
 class SparseMatrix:
     """An immutable-by-convention sparse matrix over QQ.
 
-    entries maps (row, col) -> exact scalar (see exact); zeros are never
-    stored.
+    data holds its rows, each a dict col -> exact scalar (see exact);
+    zeros are never stored.  entries is a (row, col) -> scalar copy.
     """
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError("entry (%d, %d) out of bounds" % (i, j))
-                v = exact(v)
-                if v:
-                    self.entries[(i, j)] = v
+        self.data = [{} for _ in range(rows)]
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError("entry (%d, %d) out of bounds" % (i, j))
+            v = exact(v)
+            if v:
+                self.data[i][j] = v
+
+    @property
+    def entries(self):
+        return {(i, j): v for i, row in enumerate(self.data)
+                for j, v in row.items()}
 
     @classmethod
     def from_images(cls, src, tgt, image):
@@ -140,51 +151,47 @@ class SparseMatrix:
 
         image(x) is a sparse vector keyed by elements of tgt; a key
         outside tgt raises KeyError, since the map does not land in the
-        target block.  The entries are written in place, each made exact
-        (an int passes as it is), with no bounds check: rows and columns
-        come from the bases.
+        target block.  The entries are written into their rows in place,
+        each made exact (an int passes as it is), with no bounds check:
+        rows and columns come from the bases.
         """
-        row = {m: r for r, m in enumerate(tgt)}
         M = cls(len(tgt), len(src))
-        entries = M.entries
+        row = dict(zip(tgt, M.data))
         for col, x in enumerate(src):
             for m, v in image(x).items():
                 v = v if type(v) is int else exact(v)
                 if v:
-                    entries[row[m], col] = v
+                    row[m][col] = v
         return M
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        out = {}
-        for (i, k), u in self.entries.items():
-            for j, v in by_row.get(k, ()):
-                key = (i, j)
-                w = out.get(key, 0) + u * v
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return SparseMatrix(self.rows, other.cols, out)
+        M = SparseMatrix(self.rows, other.cols)
+        for out, row in zip(M.data, self.data):
+            for k, u in row.items():
+                for j, v in other.data[k].items():
+                    w = out.get(j, 0) + u * v
+                    if w:
+                        out[j] = w
+                    elif j in out:
+                        del out[j]
+            for j, w in out.items():
+                if type(w) is not int:
+                    out[j] = exact(w)
+        return M
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.data)
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return [dict(row) for row in self.data]
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.data == other.data)
 
 
 def eliminate(rows):
@@ -243,9 +250,15 @@ def eliminate(rows):
     return pivots
 
 
-def rank(M):
-    """Rank of M over the rationals."""
-    return len(eliminate(M.row_dicts()))
+def rank(M, cleared=(), pivots=None):
+    """Rank of M over the rationals, leaving out the rows in cleared
+    (homology_by_blocks passes rows whose removal keeps the rank); the
+    pivot columns are added to the set pivots when one is given."""
+    found = eliminate([dict(row) for i, row in enumerate(M.data)
+                       if i not in cleared])
+    if pivots is not None:
+        pivots.update(c for c, _ in found)
+    return len(found)
 
 
 class QuotientSpace:
@@ -308,21 +321,24 @@ def homology_by_blocks(positions, block, shift, bases):
 
     bases maps (h, w) to the basis of C_{h,w} (none: a zero group), and
     block(h, w) is the matrix of d: C_{h,w} -> C_{h-1,w+shift} on them.
-    Per call, a block between two nonzero groups is built and ranked once
-    and dropped when no later position needs it; d . d = 0 is checked at
-    every position whose two blocks are nonzero.  No other block is built:
-    it is zero, since every route's d is graded where its input enters
-    (freealg.grading_shifts checks hdeg - 1 and one weight shift, bar
-    faces lower the level and keep the weight, CE is graded by
-    construction) and each group holds every monomial of its bidegree.
-    Raises ValueError when two blocks do not compose, and
-    CompositionNonZeroError when d . d != 0 at a position or a dimension
-    comes out negative.
+    Per call, a block between two nonzero groups is built whole, checked
+    against its bases' shape and ranked once, and dropped when no later
+    position needs it; d . d = 0 is checked at every position whose two
+    blocks are nonzero.  No other block is built: it is zero, since every
+    route's d is graded where its input enters (freealg.grading_shifts
+    checks hdeg - 1 and one weight shift, bar faces lower the level and
+    keep the weight, CE is graded by construction) and each group holds
+    every monomial of its bidegree.  A block first ranked where d_out
+    below it is ranked too leaves out its rows at d_out's pivot columns
+    (clearing, see above).  Raises ValueError when a block's shape is not
+    len(target) x len(source), and CompositionNonZeroError when d . d != 0
+    at a position or a dimension comes out negative.
     """
     pairs = [((h, w), (h + 1, w - shift)) for h, w in positions]
     uses = Counter((h, w) for pair in pairs for h, w in pair
                    if bases.get((h, w)) and bases.get((h - 1, w + shift)))
     blocks = {}
+    pivots = {}
     ranks = {}
     out = {}
     for (h, w), pair in zip(positions, pairs):
@@ -330,8 +346,12 @@ def homology_by_blocks(positions, block, shift, bases):
         built = [key for key in pair if key in uses]
         for key in built:
             if key not in ranks:
-                blocks[key] = block(*key)
-                ranks[key] = rank(blocks[key])
+                M = blocks[key] = block(*key)
+                tgt = bases[key[0] - 1, key[1] + shift]
+                if (M.rows, M.cols) != (len(tgt), len(bases[key])):
+                    raise ValueError("block %r has the wrong shape" % (key,))
+                cleared = pivots.get(pair[0], ())  # d_out's, key = pair[1]
+                ranks[key] = rank(M, cleared, pivots.setdefault(key, set()))
             dim -= ranks[key]
         if len(built) == 2 and \
                 not blocks[pair[0]].matmul(blocks[pair[1]]).is_zero():
@@ -344,5 +364,5 @@ def homology_by_blocks(positions, block, shift, bases):
         for key in built:
             uses[key] -= 1
             if not uses[key]:
-                del blocks[key]
+                del blocks[key], pivots[key]
     return out

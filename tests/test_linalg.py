@@ -8,12 +8,14 @@ import pytest
 from symhom import linalg
 from symhom.bar import bar_level_basis, face_map, hr_via_bar
 from symhom.commalg import abelianize
-from symhom.findim import dual_numbers_algebra
+from symhom.findim import dual_numbers_algebra, free_tensor_algebra
 from symhom.freealg import dual_numbers_resolution
+from symhom.lie import ce_homology, heisenberg, hs_env_via_cobar, sl2
 from symhom.linalg import (CompositionNonZeroError, QuotientSpace,
                            SparseMatrix, homology_by_blocks, homology_dim,
                            rank)
 from symhom.rationals import QQ
+from symhom.repfun import rep_n
 
 
 def dense(data):
@@ -273,9 +275,9 @@ def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
     ranked = []
     real_rank = linalg.rank
 
-    def counting_rank(M):
+    def counting_rank(M, *args):
         ranked.append(M)
-        return real_rank(M)
+        return real_rank(M, *args)
 
     def block(h, w):
         built.append((h, w))
@@ -299,6 +301,75 @@ def test_homology_by_blocks_rejects_non_complex():
         homology_by_blocks(
             positions, lambda h, w: simplex_boundary(h, w, signed=False), 0,
             simplex_groups(3, 2))
+
+
+def test_homology_by_blocks_rejects_a_block_of_the_wrong_shape():
+    # a 2x2 block against a 3-element source basis, with no neighbour
+    # built that would fail to compose with it
+    bases = {(0, 0): "ab", (1, 0): "xyz"}
+    with pytest.raises(ValueError):
+        homology_by_blocks([(1, 0)], lambda h, w: dense([[1, 0], [0, 1]]),
+                           0, bases)
+
+
+# clearing --------------------------------------------------------------
+
+CLEARED_JOBS = {
+    "bar-dual-n1": lambda: hr_via_bar(dual_numbers_algebra(), 3, 6),
+    "bar-dual-n2": lambda: hr_via_bar(dual_numbers_algebra(), 2, 4, n=2),
+    "bar-free2": lambda: hr_via_bar(free_tensor_algebra(2, 4), 2, 4),
+    "dg-dual": lambda: abelianize(
+        dual_numbers_resolution(12)).homology_table(11, 15),
+    "rep2-dual": lambda: rep_n(
+        dual_numbers_resolution(5), 2).homology_table(3, 4),
+    "cobar-sl2": lambda: hs_env_via_cobar(sl2(), 4, 6),
+    "ce-heisenberg": lambda: ce_homology(heisenberg(), 4),
+}
+
+
+@pytest.mark.parametrize("job", sorted(CLEARED_JOBS))
+def test_every_cleared_rank_is_the_full_rank(monkeypatch, job):
+    ranks = []
+    real_rank = linalg.rank
+
+    def full_and_cleared_rank(M, *args):
+        full = len(linalg.eliminate(M.row_dicts()))
+        ranks.append((real_rank(M, *args), full))
+        return ranks[-1][0]
+
+    monkeypatch.setattr(linalg, "rank", full_and_cleared_rank)
+    CLEARED_JOBS[job]()
+    assert ranks
+    assert all(cleared == full for cleared, full in ranks), ranks
+
+
+@pytest.mark.parametrize("job, rows, rank_sum", [
+    ("bar-dual-n1", 330, 329), ("dg-dual", 210, 199), ("cobar-sl2", 159, 159)])
+def test_clearing_hands_elimination_fewer_rows(monkeypatch, job, rows,
+                                               rank_sum):
+    # the full blocks have 449, 305 and 210 nonzero rows
+    handed, found = [], []
+    real_eliminate = linalg.eliminate
+
+    def counting_eliminate(row_list):
+        handed.append(sum(1 for r in row_list if r))
+        pivots = real_eliminate(row_list)
+        found.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(linalg, "eliminate", counting_eliminate)
+    CLEARED_JOBS[job]()
+    assert (sum(handed), sum(found)) == (rows, rank_sum)
+
+
+def test_d_squared_is_checked_on_a_row_that_clearing_drops():
+    # d_1 = [1 0] has its pivot in column 0, so d_2 = [[1], [0]] is
+    # ranked without row 0, where d_1 . d_2 = [1] is nonzero; the ranks
+    # give 2 - 1 - 0 >= 0, so only the product sees it
+    blocks = {1: dense([[1, 0]]), 2: dense([[1], [0]])}
+    bases = {(0, 0): "a", (1, 0): "bc", (2, 0): "d"}
+    with pytest.raises(CompositionNonZeroError):
+        homology_by_blocks([(1, 0)], lambda h, w: blocks[h], 0, bases)
 
 
 # integral scalars ------------------------------------------------------
@@ -386,9 +457,9 @@ def test_bar_and_dg_blocks_are_integral(monkeypatch):
     blocks = []
     real_rank = linalg.rank
 
-    def recording_rank(M):
+    def recording_rank(M, *args):
         blocks.append(M)
-        return real_rank(M)
+        return real_rank(M, *args)
 
     monkeypatch.setattr(linalg, "rank", recording_rank)
     A = dual_numbers_algebra()

@@ -236,6 +236,10 @@ UNREACHED = {
         "test_a_ce_sign_error_on_long_words_fails_every_lie_route",
     "linalg.QuotientSpace.project":
         "tests/test_linalg.py::test_quotient_space_matches_dense_reference",
+    "linalg.SparseMatrix.entries":
+        "tests/test_linalg.py::test_entries_are_held_as_ints_when_integral",
+    "linalg.SparseMatrix.row_dicts": "tests/test_linalg.py::"
+        "test_eliminate_pivots_are_reduced_and_count_the_rank",
     "linalg.SparseMatrix.__eq__":
         "tests/test_repfun.py::test_trace_is_a_chain_map",
     "linalg.homology_dim": "perfbench/spans.py",
@@ -366,5 +370,12 @@ def test_ab_runs_an_a_a_comparison_without_failures():
          "--workload", "dg-deep", "--seconds", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    last = proc.stdout.splitlines()[-1]
-    assert last.startswith("change ") and last.endswith(" failed 0")
+    lines = proc.stdout.splitlines()
+    # each side's wall, job p50 and job tail, as perfbench/run.py reads them
+    for label, line in zip(("base", "new"), lines):
+        words = line.split()
+        assert words[:2] == [label, "wall"], line
+        for metric in ("job_p50_ms", "job_tail_ms"):
+            assert float(words[words.index(metric) + 1]) > 0, line
+    assert lines[-1].startswith("change ") and " job_tail_ms " in lines[-1]
+    assert lines[-1].endswith(" failed 0")

@@ -10,9 +10,10 @@ distinct package names, the named workload of perfbench/workloads.py is
 built on each, and their rounds alternate (the side that goes first
 alternates too) for --seconds, so slow drift of the host falls on both
 sides alike.  Each side's wall is the sum of each job's and each
-check's fastest time, as perfbench/run.py sums them.  The last line
-gives both walls, the change and the failed-job count; the exit code is
-1 when a job failed.
+check's fastest time, as perfbench/run.py sums them, and its job_p50_ms
+and job_tail_ms are run.py's median and tail of the jobs' fastest times.
+The last line gives the change in wall and in job_tail_ms and the
+failed-job count; the exit code is 1 when a job failed.
 
 This sizes a change against drift on a noisy host.  Acceptance is still
 perfbench/run.py on each commit, compared by perfbench/compare.py.
@@ -23,6 +24,7 @@ import importlib
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -33,7 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
 
-from run import MODULES, _fastest  # noqa: E402
+from run import MODULES, _fastest, tail  # noqa: E402
 from workloads import WORKLOADS, Recorder  # noqa: E402
 
 
@@ -64,9 +66,11 @@ def import_tree(root, package):
             for name in MODULES}
 
 
-def wall_ms(rec):
-    return sum(_fastest(rec, "job").values()) + \
-        sum(_fastest(rec, "check").values())
+def side_ms(rec):
+    """wall, job_p50_ms and job_tail_ms of one side, in ms."""
+    jobs = list(_fastest(rec, "job").values()) or [0.0]
+    wall = sum(jobs) + sum(_fastest(rec, "check").values())
+    return wall, statistics.median(jobs), tail(jobs)[0]
 
 
 def main(argv=None):
@@ -94,17 +98,18 @@ def main(argv=None):
                 workload.round(m, state, rec)
             sides.reverse()
     sides.sort(key=lambda side: side[0])
-    walls = {}
+    ms = {}
     for label, _, _, rec in sides:
-        walls[label] = wall_ms(rec)
-        print("%-4s wall %9.3f ms  rounds %d  failed %d/%d"
-              % (label, walls[label], len(rec.rounds), rec.failed,
-                 rec.attempted))
+        ms[label] = side_ms(rec)
+        print("%-4s wall %9.3f ms  job_p50_ms %8.3f  job_tail_ms %8.3f  "
+              "rounds %d  failed %d/%d" % ((label,) + ms[label] + (
+                  len(rec.rounds), rec.failed, rec.attempted)))
         for error in rec.errors:
             print("  %s" % error)
     failed = sum(rec.failed for *_, rec in sides)
-    print("change %+.1f%%  failed %d"
-          % (100.0 * (walls["new"] / walls["base"] - 1), failed))
+    print("change %+.1f%%  job_tail_ms %+.1f%%  failed %d"
+          % (100.0 * (ms["new"][0] / ms["base"][0] - 1),
+             100.0 * (ms["new"][2] / ms["base"][2] - 1), failed))
     return 1 if failed else 0
 
 
