@@ -200,9 +200,9 @@ def _at_least(low):
 # Raised whenever a fix changes some computed table, so that no entry
 # cached before the fix is served.  2: cobar generators kept past the caps.
 # 3: the algebra form of poly:N is k[x_1..x_N], not k[x].  4: hs --pipeline
-# dg reads --n (it served the n = 1 table for every n).  5: DGLie checks the
-# Leibniz rule on every pair, so a cobar table cached for an invalid Lie
-# input is never served.
+# dg reads --n (it served the n = 1 table for every n).  5: DGLie checks
+# Jacobi, Leibniz and d^2 = 0 by one CE d^2 = 0 test on wedge words of
+# length <= 3; a cobar table cached for an invalid Lie input is not served.
 ALGORITHM_VERSION = 5
 
 

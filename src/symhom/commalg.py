@@ -164,12 +164,10 @@ class CommDGAlgebra:
         """Sorted basis of the (hdeg, weight) block."""
         return self.monomial_bases(hdeg, weight).get((hdeg, weight), [])
 
-    def block_matrix(self, hdeg, weight, bases=None):
+    def block_matrix(self, hdeg, weight, bases):
         """Matrix of d from block (hdeg, weight) to (hdeg-1, weight+shift),
-        on the buckets of a monomial_bases dict whose box holds both blocks
-        (by default the box below (hdeg, weight))."""
-        if bases is None:
-            bases = self.monomial_bases(hdeg, weight)
+        on the buckets of a monomial_bases dict whose box holds both
+        blocks."""
         return SparseMatrix.from_images(
             bases.get((hdeg, weight), []),
             bases.get((hdeg - 1, weight + self.weight_shift), []),

@@ -1,4 +1,4 @@
-"""The matrix representation functor, cyclic quotients, and the trace."""
+"""The matrix representation functor."""
 
 import pytest
 
@@ -7,8 +7,7 @@ from symhom.freealg import (FreeDGAlgebra, GeneratorSpec,
                             dual_numbers_resolution,
                             free_resolution_of_tensor_algebra)
 from symhom.lie import ce_complex, cobar, sl2
-from symhom.repfun import (CyclicQuotientComplex, hr_n, rep_n,
-                           trace_chain_map, _necklace)
+from symhom.repfun import hr_n, rep_n
 from symhom.rationals import QQ
 
 
@@ -66,56 +65,6 @@ def test_rep_2_differential_entry():
 def test_rep_n_guard():
     with pytest.raises(ValueError):
         rep_n(dual_numbers_resolution(1), 0)
-
-
-def test_necklace_rotation_invariance():
-    R = dual_numbers_resolution(3)
-    sign, can = _necklace(R, ("t1", "x"))
-    sign2, can2 = _necklace(R, ("x", "t1"))
-    assert can == can2 and sign and sign2
-
-
-def test_necklace_vanishing_class():
-    # rotating (t1, t1) by one fixes it with Koszul sign -1
-    R = dual_numbers_resolution(2)
-    assert _necklace(R, ("t1", "t1")) == (0, None)
-
-
-def test_cyclic_basis_excludes_vanishing_necklaces():
-    R = dual_numbers_resolution(2)
-    cyc = CyclicQuotientComplex(R)
-    assert ("t1", "t1") not in cyc.basis(2, 4)
-
-
-def test_cyclic_differential_squares_to_zero():
-    R = dual_numbers_resolution(4)
-    cyc = CyclicQuotientComplex(R)
-    for h in range(2, 5):
-        for w in range(7):
-            prod = cyc.block_matrix(h - 1, w).matmul(cyc.block_matrix(h, w))
-            assert prod.is_zero(), (h, w)
-
-
-def test_trace_is_a_chain_map():
-    R = dual_numbers_resolution(4)
-    n, deg_cap, weight_cap = 2, 3, 5
-    cyc, S, blocks = trace_chain_map(R, n, deg_cap, weight_cap)
-    for h in range(1, deg_cap + 1):
-        for w in range(weight_cap + 1):
-            lhs = S.block_matrix(h, w).matmul(blocks[(h, w)])
-            rhs = blocks[(h - 1, w)].matmul(cyc.block_matrix(h, w))
-            assert lhs == rhs, (h, w)
-
-
-def test_trace_of_single_generator_is_matrix_trace():
-    R = dual_numbers_resolution(2)
-    cyc, S, blocks = trace_chain_map(R, 2, 1, 2)
-    # x has weight 1: the (0, 1) block sends x to x:11 + x:22
-    m = blocks[(0, 1)]
-    tgt = S.monomial_basis(0, 1)
-    col = {tgt[r]: v for (r, c), v in m.entries.items() if c == 0}
-    x11, x22 = S.index["x:11"], S.index["x:22"]
-    assert col == {(x11,): QQ(1), (x22,): QQ(1)}
 
 
 def test_representation_homology_of_poly_vanishes():

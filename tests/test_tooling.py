@@ -36,7 +36,7 @@ from symhom.findim import dual_numbers_algebra
 from symhom.freealg import dual_numbers_resolution
 from symhom.lie import (ce_homology, hs_env_closed_form, hs_env_via_cobar,
                         sl2)
-from symhom.repfun import hr_n, rep_n, trace_chain_map
+from symhom.repfun import hr_n, rep_n
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.dirname(symhom.__file__)
@@ -192,13 +192,11 @@ def test_every_import_is_used_and_every_export_resolves():
     lambda: abelianize(dual_numbers_resolution(5)).homology_table(4, 6),
     lambda: hr_n(dual_numbers_resolution(4), 2, 2, 3),
     lambda: rep_n(dual_numbers_resolution(4), 3),
-    lambda: trace_chain_map(dual_numbers_resolution(3), 2, 2, 4),
     lambda: ce_homology(sl2(), 3),
     lambda: hs_env_via_cobar(sl2(), 3, 4),
     lambda: hs_env_closed_form(sl2(), 3, 4),
 ], ids=["hr_via_bar-n1", "hr_via_bar-n2", "homology_table", "hr_n",
-        "rep_n", "trace_chain_map", "ce_homology", "hs_env_via_cobar",
-        "hs_env_closed_form"])
+        "rep_n", "ce_homology", "hs_env_via_cobar", "hs_env_closed_form"])
 def test_table_computations_leave_no_reference_cycle(job):
     gc.collect()
     gc.disable()
@@ -241,24 +239,8 @@ UNREACHED = {
     "linalg.SparseMatrix.row_dicts": "tests/test_linalg.py::"
         "test_eliminate_pivots_are_reduced_and_count_the_rank",
     "linalg.SparseMatrix.__eq__":
-        "tests/test_repfun.py::test_trace_is_a_chain_map",
+        "tests/test_linalg.py::test_matmul_shapes_and_values",
     "linalg.homology_dim": "perfbench/spans.py",
-    # the cyclic-word quotient and the trace into rep_n wait for a route
-    # of their own (cyclic homology) or their deletion
-    "repfun._necklace":
-        "tests/test_repfun.py::test_necklace_rotation_invariance",
-    "repfun.CyclicQuotientComplex.__init__":
-        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
-    "repfun.CyclicQuotientComplex._words":
-        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
-    "repfun.CyclicQuotientComplex.basis":
-        "tests/test_repfun.py::test_cyclic_basis_excludes_vanishing_necklaces",
-    "repfun.CyclicQuotientComplex.block_matrix":
-        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
-    "repfun.CyclicQuotientComplex.project":
-        "tests/test_repfun.py::test_cyclic_differential_squares_to_zero",
-    "repfun.trace_chain_map":
-        "tests/test_repfun.py::test_trace_is_a_chain_map",
 }
 
 
