@@ -100,9 +100,6 @@ class CommDGAlgebra:
 
     # polynomial arithmetic (dict monomial -> scalar) --------------------
 
-    def mono_hdeg(self, mono):
-        return sum(self.generators[i].hdeg for i in mono)
-
     def d(self, p):
         """Derivation differential of a polynomial.
 

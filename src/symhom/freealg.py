@@ -7,6 +7,8 @@ An element of the algebra is a plain dict word -> scalar, a word being a
 tuple of generator names, as every vector in the package is a plain dict.
 commalg.CommDGAlgebra takes the same presentation, so abelianizing is a
 constructor call; grading_shifts checks the grading of d for both.
+Every resolution here is one call to cobar, the one place that writes
+the desuspension sign: lie.cobar and the two standard resolutions below.
 """
 
 import json
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .linalg import add_term, exact_vector
 
-__all__ = ["GeneratorSpec", "FreeDGAlgebra", "grading_shifts",
+__all__ = ["GeneratorSpec", "FreeDGAlgebra", "grading_shifts", "cobar",
            "dual_numbers_resolution", "free_resolution_of_tensor_algebra"]
 
 
@@ -135,28 +137,42 @@ class FreeDGAlgebra:
         return alg
 
 
-def dual_numbers_resolution(i_max):
-    """The standard semi-free resolution of k[x]/(x^2).
+def cobar(coalgebra, d, coproduct):
+    """Omega C, the free DG algebra on the desuspended reduced part of a
+    coaugmented DG coalgebra C (Loday-Vallette, Algebraic Operads, ch. 2-3).
+    coalgebra lists that part's basis as (key, name, degree >= 1, weight),
+    d(key) is {key: c} and coproduct(key) is {(key1, key2): c}.  Generator
+    name has degree - 1, and d(s^-1 c) = -s^-1(dc) - sum (-1)^{|c1|}
+    s^-1 c1 s^-1 c2, the sign of desuspending the left tensor leg."""
+    names = {key: name for key, name, _, _ in coalgebra}
+    odd = {key: degree % 2 for key, _, degree, _ in coalgebra}
+    diff = {}
+    for key, name, _, _ in coalgebra:
+        terms = diff[name] = {}
+        for k, c in d(key).items():
+            add_term(terms, (names[k],), -c)
+        for (k1, k2), c in coproduct(key).items():
+            add_term(terms, (names[k1], names[k2]), c if odd[k1] else -c)
+    return FreeDGAlgebra([GeneratorSpec(name, degree - 1, weight)
+                          for _, name, degree, weight in coalgebra], diff)
 
-    Generators: x in degree 0 weight 1 and t_i in degree i weight i+1 for
-    1 <= i <= i_max, with d(t_1) = x^2 and
+
+def dual_numbers_resolution(i_max):
+    """The standard semi-free resolution of k[x]/(x^2), Omega of the bars
+    c_i = [x|...|x] of i + 1 letters with d = 0 and deconcatenation.
+
+    Generators: x = s^-1 c_0 in degree 0 weight 1 and t_i = s^-1 c_i in
+    degree i weight i+1 for 1 <= i <= i_max, with d(t_1) = x^2 and
     d(t_i) = sum_j (-1)^j t_j t_{i-1-j} where t_0 stands for x.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    gens = [GeneratorSpec("x", 0, 1)]
-    gens += [GeneratorSpec("t%d" % i, i, i + 1) for i in range(1, i_max + 1)]
-
-    def tname(j):
-        return "x" if j == 0 else "t%d" % j
-
-    diff = {"t%d" % i: {(tname(j), tname(i - 1 - j)): (-1) ** j
-                        for j in range(i)}
-            for i in range(1, i_max + 1)}
-    return FreeDGAlgebra(gens, diff)
+    return cobar([(i, "t%d" % i if i else "x", i + 1, i + 1)
+                  for i in range(i_max + 1)], lambda i: {},
+                 lambda i: {(j, i - 1 - j): 1 for j in range(i)})
 
 
 def free_resolution_of_tensor_algebra(num_gens):
-    """k<x_1..x_n> resolving itself: degree-0 generators, zero differential."""
-    gens = [GeneratorSpec("x%d" % (i + 1), 0, 1) for i in range(num_gens)]
-    return FreeDGAlgebra(gens, {})
+    """k<x_1..x_n> resolving itself: Omega(k + V), V in degree 1, d = 0."""
+    return cobar([(i, "x%d" % (i + 1), 1, 1) for i in range(num_gens)],
+                 lambda i: {}, lambda i: {})

@@ -12,16 +12,16 @@ DGLie.validate checks the Lie axioms as d^2 = 0 on wedge words of length
 <= 3, and each route reads its wedge words from one monomial_bases box.
 Longer words need no check of their own: linalg.homology_by_blocks checks
 d o d = 0 on every block a table uses.
-The cobar construction is the free DG algebra on the desuspended reduced
-coalgebra; its abelianization is weight-graded by exterior length (the
-differential drops it by exactly 1).  Scalars are exact (linalg.exact),
-so the structure constants of the built-ins and every differential built
-on them are ints.
+The cobar construction is freealg.cobar on the CE coalgebra (that
+function alone writes the desuspension sign); its abelianization is
+weight-graded by exterior length (the differential drops it by exactly
+1).  Scalars are exact (linalg.exact), so the structure constants of the
+built-ins and every differential built on them are ints.
 """
 
 from .commalg import CommDGAlgebra, abelianize, sort_word
 from .betti import BettiTable
-from .freealg import FreeDGAlgebra, GeneratorSpec
+from .freealg import GeneratorSpec, cobar as cobar_of
 from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
 
 import json
@@ -230,36 +230,16 @@ def ce_homology(a, cap):
 
 # cobar ------------------------------------------------------------------
 
-def _word_name(C, word):
-    return "[" + "^".join(C.lie.names[i] for i in word) + "]"
-
-
 def cobar(C, deg_cap, weight_cap):
-    """Free DG algebra on the desuspended reduced CE coalgebra.
-
-    Generators are the nonempty wedge words of the box, sorted by (CE
-    degree, word) (degree = CE degree - 1, weight = exterior length); the
-    differential combines the CE differential, which keeps a word's length
-    or lowers it and so stays in the box, with the quadratic part from the
-    reduced coproduct.
-    """
+    """freealg.cobar of CE(a) on the nonempty wedge words of one box,
+    sorted by (CE degree, word) and named [a^b].  d keeps a word's length
+    or lowers it and the coproduct splits it, so both stay in the box."""
+    names = C.lie.names
     words = sorted((h, w) for (h, _), ws in
                    C.alg.monomial_bases(deg_cap + 1, weight_cap).items()
                    if h for w in ws)
-    gens = [GeneratorSpec(_word_name(C, w), h - 1, len(w)) for h, w in words]
-    diff = {}
-    for _, w in words:
-        name = _word_name(C, w)
-        terms = {}
-        for w2, c in C.diff(w).items():
-            add_term(terms, (_word_name(C, w2),), -c)
-        for (w1, w2), c in C.reduced_coproduct(w).items():
-            # the Koszul factor from desuspending the left tensor leg
-            if C.alg.mono_hdeg(w1) % 2:
-                c = -c
-            add_term(terms, (_word_name(C, w1), _word_name(C, w2)), -c)
-        diff[name] = terms
-    return FreeDGAlgebra(gens, diff)
+    return cobar_of([(w, "[%s]" % "^".join(names[i] for i in w), h, len(w))
+                     for h, w in words], C.diff, C.reduced_coproduct)
 
 
 def hs_env_via_cobar(a, deg_cap, weight_cap):

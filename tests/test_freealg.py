@@ -1,12 +1,16 @@
-"""Free associative DG algebras and the standard resolutions."""
+"""Free associative DG algebras, the cobar construction and the standard
+resolutions."""
 
+import hashlib
 import random
 
 import pytest
 
-from symhom.freealg import (FreeDGAlgebra, GeneratorSpec,
+from symhom.freealg import (FreeDGAlgebra, GeneratorSpec, cobar,
                             dual_numbers_resolution,
                             free_resolution_of_tensor_algebra)
+from symhom.lie import (abelian_lie, ce_complex, cobar as lie_cobar,
+                        direct_sum, heisenberg, nonabelian_2dim, sl2)
 from symhom.linalg import SparseMatrix, add_term, homology_dim
 from symhom.rationals import QQ
 
@@ -162,3 +166,50 @@ def test_json_round_trip():
     S = FreeDGAlgebra.from_json(R.to_json())
     assert [g.name for g in S.generators] == [g.name for g in R.generators]
     assert S.differential == R.differential
+
+
+def test_cobar_presentations_are_pinned():
+    # each presentation byte for byte, as recorded before the builders
+    # were made calls to freealg.cobar: generators, order, names and signs
+    def digest(R):
+        return hashlib.sha256(R.to_json().encode()).hexdigest()[:16]
+
+    lies = {"sl2": sl2(), "heisenberg": heisenberg(),
+            "nab2": nonabelian_2dim(), "abelian:3": abelian_lie(3),
+            "sl2+heisenberg": direct_sum(sl2(), heisenberg())}
+    got = {name: digest(lie_cobar(ce_complex(a), 4, 5))
+           for name, a in lies.items()}
+    got["dual-numbers:12"] = digest(dual_numbers_resolution(12))
+    got["tensor:3"] = digest(free_resolution_of_tensor_algebra(3))
+    assert got == {"sl2": "e2317263999b7a34",
+                   "heisenberg": "cd2b86b685d72242",
+                   "nab2": "c7322bbae10fe8d2",
+                   "abelian:3": "1ef98d15b1e73492",
+                   "sl2+heisenberg": "8a1ca55885312da9",
+                   "dual-numbers:12": "5632914ecbbb0c1f",
+                   "tensor:3": "2eb676642a752687"}
+
+
+def _bar_coalgebra_cobar(i_max, doubled=False):
+    """cobar of the dual numbers' Koszul dual coalgebra: the bars c_i of
+    i + 1 letters, d = 0, Delta c_i = sum_j c_j c_{i-1-j}.  doubled doubles
+    the (c_0, c_{i-1}) term of each Delta c_i, which is then not
+    coassociative."""
+    def coproduct(i):
+        out = {(j, i - 1 - j): 1 for j in range(i)}
+        if doubled and i:
+            out[0, i - 1] = 2
+        return out
+    return cobar([(i, "t%d" % i if i else "x", i + 1, i + 1)
+                  for i in range(i_max + 1)], lambda i: {}, coproduct)
+
+
+def test_cobar_d_squared_is_zero_exactly_on_a_coassociative_coproduct():
+    R = _bar_coalgebra_cobar(5)
+    assert R.check_d_squared(5, 6)
+    assert R.to_json() == dual_numbers_resolution(5).to_json()
+    # negative control: d^2 = 0 on Omega C is coassociativity of C
+    broken = _bar_coalgebra_cobar(5, doubled=True)
+    assert not broken.check_d_squared(5, 6)
+    assert [g.name for g in broken.generators
+            if broken.d(broken.d_gen(g.name))] == ["t2", "t3", "t4", "t5"]

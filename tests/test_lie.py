@@ -31,10 +31,10 @@ def odd_first():
 
 
 def flipped_cobar(C):
-    """cobar(C, 4, 6) without the desuspension Koszul factor: each
-    quadratic term whose left generator has even hdeg is negated.  A
-    negative control, on which d^2 != 0 for a Lie algebra with enough
-    bracket (sl2)."""
+    """cobar(C, 4, 6) without the desuspension Koszul factor that
+    freealg.cobar writes: each quadratic term whose left generator has
+    even hdeg is negated.  A negative control, on which d^2 != 0 for a Lie
+    algebra with enough bracket (sl2)."""
     omega = cobar(C, 4, 6)
     hdeg = {g.name: g.hdeg for g in omega.generators}
     return FreeDGAlgebra(omega.generators, {
