@@ -37,10 +37,6 @@ class BettiTable:
     def degree_total(self, h):
         return sum(d for (hh, _), d in self.entries.items() if hh == h)
 
-    def degree_totals(self):
-        """Totals per homological degree 0..deg_cap."""
-        return [self.degree_total(h) for h in range(self.deg_cap + 1)]
-
     def diff(self, other):
         """Entrywise differences on the intersection of the caps.
 

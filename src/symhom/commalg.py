@@ -129,12 +129,9 @@ class CommDGAlgebra:
                 odd_pre += parities[i]
         return out
 
-    def check_d_squared(self, deg_cap, weight_cap):
-        for i, g in enumerate(self.generators):
-            if g.hdeg <= deg_cap and g.weight <= weight_cap:
-                if self.d(self.differential.get(i, {})):
-                    return False
-        return True
+    def check_d_squared(self):
+        """True iff d(d(g)) = 0 on every generator g."""
+        return not any(self.d(dg) for dg in self.differential.values())
 
     # bases and homology -------------------------------------------------
 

@@ -22,9 +22,9 @@ from .bar import DEFAULT_BUDGET, CapOverflowError
 from .linalg import QuotientSpace, add_term
 
 __all__ = [
-    "ArityMismatchError", "morphism", "arity", "monotone", "identity",
+    "ArityMismatchError", "morphism", "arity", "monotone",
     "permutation_morphism", "compose", "factorize", "transposition",
-    "rotation", "face_embedding", "multiply_map", "parse_morphism",
+    "rotation", "multiply_map", "parse_morphism",
     "format_morphism", "b_sym_action", "psi_sym", "abelianization_quotient",
     "hs0_coequalizer", "hc0_coequalizer",
 ]
@@ -61,10 +61,6 @@ def monotone(sizes):
     return tuple(tuple(islice(var, s)) for s in sizes)
 
 
-def identity(n):
-    return monotone([1] * (n + 1))
-
-
 def permutation_morphism(sigma):
     """The automorphism sending variable j to slot sigma[j]."""
     inv = [0] * len(sigma)
@@ -85,13 +81,6 @@ def transposition(n, i):
 def rotation(n):
     """The cyclic rotation t: a_0 x ... x a_n -> a_n x a_0 x ... x a_{n-1}."""
     return permutation_morphism(list(range(1, n + 1)) + [0])
-
-
-def face_embedding(n, i):
-    """The injective monotone map [n-1] -> [n] skipping slot i."""
-    if not 0 <= i <= n:
-        raise IndexError("face index out of range")
-    return monotone([1] * i + [0] + [1] * (n - i))
 
 
 def multiply_map(n, i):

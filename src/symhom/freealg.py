@@ -82,9 +82,6 @@ class FreeDGAlgebra:
                 self.differential[name] = terms
         grading_shifts(self.gen_by_name, self.differential)
 
-    def d_gen(self, name):
-        return self.differential.get(name, {})
-
     def d(self, poly):
         """Derivation differential: d(ab) = d(a)b + (-1)^{|a|} a d(b)."""
         out = {}
@@ -97,13 +94,9 @@ class FreeDGAlgebra:
                     sign = -sign
         return out
 
-    def check_d_squared(self, deg_cap, weight_cap):
-        """True iff d(d(g)) = 0 for all generators within the caps."""
-        for g in self.generators:
-            if g.hdeg <= deg_cap and g.weight <= weight_cap:
-                if self.d(self.d_gen(g.name)):
-                    return False
-        return True
+    def check_d_squared(self):
+        """True iff d(d(g)) = 0 on every generator g."""
+        return not any(self.d(dg) for dg in self.differential.values())
 
     # JSON presentation format -------------------------------------------
 
@@ -131,9 +124,8 @@ class FreeDGAlgebra:
         for name, terms in data.get("differential", []):
             diff[name] = {tuple(w): c for w, c in terms}
         alg = cls(gens, diff)
-        for name in alg.differential:
-            if alg.d(alg.d_gen(name)):
-                raise ValueError("d(d(%s)) != 0" % name)
+        if not alg.check_d_squared():
+            raise ValueError("d(d(g)) != 0 on some generator g")
         return alg
 
 

@@ -184,12 +184,6 @@ class CECoalgebra:
                 add_term(out, w3, c * c2)
         return out
 
-    def check_d_squared(self, cap):
-        """Whether d^2 = 0 on every wedge word of degree <= cap."""
-        return not any(self.d_squared(w) for words in
-                       self.alg.monomial_bases(cap, cap).values()
-                       for w in words)
-
 
 def ce_complex(a):
     """The CE coalgebra of a.  d^2 = 0 is checked where input enters

@@ -14,9 +14,9 @@ in the package (polynomials, bar and symmetric bar elements, Lie algebra
 elements); add_term is the one "add, drop if zero" step on them.  A
 SparseMatrix holds its rows, a list of such dicts col -> scalar, so
 elimination and products read rows with no (row, col) keys.
-SparseMatrix.from_images is the one block builder: every block of every
-complex in the package is the matrix of the images of a source basis,
-written on a target basis.
+SparseMatrix.from_images is the one way to fill a SparseMatrix: every
+block of every complex in the package is the matrix of the images of a
+source basis, written on a target basis.
 
 eliminate is the one elimination of the package: exact Gaussian
 elimination on sparse rows with a Markowitz-style pivot choice (sparsest
@@ -127,18 +127,14 @@ class SparseMatrix:
 
     data holds its rows, each a dict col -> exact scalar (see exact);
     zeros are never stored.  entries is a (row, col) -> scalar copy.
+    SparseMatrix(rows, cols) is the zero matrix, and from_images the one
+    way to fill one.
     """
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, cols):
         self.rows = rows
         self.cols = cols
         self.data = [{} for _ in range(rows)]
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError("entry (%d, %d) out of bounds" % (i, j))
-            v = exact(v)
-            if v:
-                self.data[i][j] = v
 
     @property
     def entries(self):
@@ -184,14 +180,6 @@ class SparseMatrix:
 
     def is_zero(self):
         return not any(self.data)
-
-    def row_dicts(self):
-        return [dict(row) for row in self.data]
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
 
 
 def eliminate(rows):

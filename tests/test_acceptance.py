@@ -15,7 +15,7 @@ from symhom.commalg import abelianize
 from symhom.deltas import (_coequalizer_space, abelianization_quotient,
                            arity, b_sym_action, compose, factorize,
                            format_morphism, hc0_coequalizer, hs0_coequalizer,
-                           identity, morphism, permutation_morphism, psi_sym)
+                           monotone, morphism, permutation_morphism, psi_sym)
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
                            matrix_algebra, upper_triangular_algebra)
 from symhom.freealg import dual_numbers_resolution, \
@@ -59,7 +59,7 @@ def test_criterion_1_dual_numbers_dg_table():
     t0 = time.time()
     table = abelianize(dual_numbers_resolution(9)).homology_table(8, 12)
     ok = table.entries == DUAL_NUMBERS_TABLE
-    totals = table.degree_totals()
+    totals = [table.degree_total(h) for h in range(table.deg_cap + 1)]
     ok = ok and totals == [2, 0, 1, 1, 2, 2, 2, 2, 3]
     _report(1, ok, time.time() - t0, 60,
             "degree totals %s" % totals)
@@ -234,24 +234,24 @@ def test_criterion_7_property_suites():
 
     # (a) d^2 = 0 for every constructed differential
     R = dual_numbers_resolution(6)
-    if not R.check_d_squared(6, 8):
+    if not R.check_d_squared():
         fail("free d^2")
-    if not abelianize(R).check_d_squared(6, 8):
+    if not abelianize(R).check_d_squared():
         fail("abelianized d^2")
     for a in (sl2(), nonabelian_2dim(), abelian_lie(2)):
         C = ce_complex(a)
-        if not cobar(C, 4, 6).check_d_squared(4, 6):
+        if not cobar(C, 4, 6).check_d_squared():
             fail("cobar d^2")
     # negative control: the flipped coproduct sign must break d^2 = 0
-    if flipped_cobar(ce_complex(sl2())).check_d_squared(4, 6):
+    if flipped_cobar(ce_complex(sl2())).check_d_squared():
         fail("negative control passed d^2")
 
     # (b) category laws and unique factorization, exhaustive arity <= 5
     for a in range(1, 6):
         for b in range(1, 6):
             for f in _all_morphisms(a, b):
-                if compose(identity(len(f) - 1), f) != f or \
-                        compose(f, identity(arity(f) - 1)) != f:
+                if compose(monotone([1] * len(f)), f) != f or \
+                        compose(f, monotone([1] * arity(f))) != f:
                     fail("identity law %s" % format_morphism(f))
                 sigma, mono = factorize(f)
                 flat = [v for m in mono for v in m]

@@ -134,6 +134,18 @@ def test_compare_mismatch(capsys):
     assert "mismatch" in out
 
 
+def test_compare_on_different_caps_warns_and_reads_the_shared_caps(capsys):
+    # the dg table has entries beyond (deg 2, weight 4); diff skips them
+    code, out, err = run(
+        capsys, "compare",
+        "hs dual-numbers --pipeline dg --deg-cap 3 --weight-cap 5",
+        "hs dual-numbers --pipeline bar --deg-cap 2 --weight-cap 4")
+    assert code == 0
+    assert out == "tables agree on shared caps (deg<=2, weight<=4)\n"
+    assert err == ("warning: cap mismatch, comparing on "
+                   "(deg<=2, weight<=4)\n")
+
+
 def test_compare_poly_bar_and_cobar_agree(capsys):
     # poly:N is k[x_1..x_N] on both routes
     spec = "hs poly:2 --pipeline %s --deg-cap 2 --weight-cap 3"
@@ -502,6 +514,22 @@ def test_option_a_command_does_not_read_exits_2(capsys, argv):
            '{"name": "t", "hdeg": 1, "weight": 2}, '
            '{"name": "u", "hdeg": 2, "weight": 3}], "differential": '
            '[["t", [[["x", "x"], "1"]]], ["u", [[["t", "x"], "1"]]]]}'),
+    # a Lie algebra with [x, x] != 0 for an even x, and with d of degree 0
+    ("cobar", '{"basis": [{"name": "x"}], "bracket": [["x", "x", {"x": 1}]]}'),
+    ("cobar", '{"basis": [{"name": "x"}, {"name": "y"}], '
+              '"differential": {"x": {"y": 1}}}'),
+    # a differential on a generator the resolution does not have
+    ("dg", '{"generators": [{"name": "x", "hdeg": 0, "weight": 1}], '
+           '"differential": [["t", [[["x", "x"], "1"]]]]}'),
+    # an algebra with a repeated basis name, and one truncated without
+    # a weight grading
+    ("bar", '{"basis": ["1", "1"], "unit": {"1": "1"}, "mult": '
+            '[["1", "1", {"1": "1"}]], "weights": {"1": 0}}'),
+    ("bar", '{"basis": ["1", "x"], "unit": {"1": "1"}, "mult": '
+            '[["1", "1", {"1": "1"}], ["1", "x", {"x": "1"}], '
+            '["x", "1", {"x": "1"}]], "truncation": 1}'),
+    # a resolution whose generators are not a list
+    (None, '{"generators": 5}'),
 ])
 def test_bad_json_input_is_a_one_line_error(tmp_path, capsys, pipeline,
                                             text):
@@ -618,6 +646,7 @@ def test_dg_entry_of_version_3_is_not_served(tmp_path, capsys):
     ["hs", "no-such-input"],
     ["hs", "dual-numbers", "--n", "0"],
     ["hr", "free:1", "--n", "-1"],
+    ["hs", "poly:x"],
 ])
 def test_out_of_range_value_exits_2_with_one_error_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -71,7 +71,7 @@ def test_odd_generators_square_to_zero():
 
 def test_abelianize_d_squared():
     S = _dual_abelianized(8)
-    assert S.check_d_squared(8, 10)
+    assert S.check_d_squared()
 
 
 def test_abelianize_matches_sorted_free_differential():

@@ -8,11 +8,11 @@ import pytest
 
 from symhom.deltas import (ArityMismatchError, _coequalizer_space,
                            abelianization_quotient, arity, b_sym_action,
-                           compose, face_embedding, factorize,
-                           format_morphism, hc0_coequalizer, hs0_coequalizer,
-                           identity, monotone, morphism, multiply_map,
-                           parse_morphism, permutation_morphism, psi_sym,
-                           rotation, transposition)
+                           compose, factorize, format_morphism,
+                           hc0_coequalizer, hs0_coequalizer, monotone,
+                           morphism, multiply_map, parse_morphism,
+                           permutation_morphism, psi_sym, rotation,
+                           transposition)
 from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
                            free_tensor_algebra, matrix_algebra,
                            upper_triangular_algebra)
@@ -90,8 +90,8 @@ def test_identity_laws_exhaustive_small():
     for a in range(1, 4):
         for b in range(1, 4):
             for f in all_morphisms(a, b):
-                assert compose(identity(len(f) - 1), f) == f
-                assert compose(f, identity(arity(f) - 1)) == f
+                assert compose(loop_identity(len(f) - 1), f) == f
+                assert compose(f, loop_identity(arity(f) - 1)) == f
 
 
 def test_composition_associativity_random():
@@ -134,7 +134,7 @@ def test_generators_have_expected_normal_forms():
     assert format_morphism(transposition(2, 0)) == "(x1)|(x0)|(x2)"
     assert format_morphism(rotation(2)) == "(x2)|(x0)|(x1)"
     assert format_morphism(multiply_map(2, 0)) == "(x0 x1)|(x2)"
-    assert format_morphism(face_embedding(2, 1)) == "(x0)|1|(x1)"
+    assert format_morphism(monotone([1, 0, 1])) == "(x0)|1|(x1)"
 
 
 # reference builders laid out slot by slot, independent of monotone and
@@ -181,19 +181,15 @@ def loop_multiply_map(n, i):
 
 def test_builders_match_the_hand_written_loops():
     for n in range(7):
-        assert identity(n) == loop_identity(n)
         assert rotation(n) == loop_rotation(n)
         for i in range(n):
             assert transposition(n, i) == loop_transposition(n, i)
             assert multiply_map(n, i) == loop_multiply_map(n, i)
-        for i in range(n + 1):
-            assert face_embedding(n, i) == loop_face_embedding(n, i)
 
 
 @pytest.mark.parametrize("builder, last", [
-    (transposition, lambda n: n - 1), (face_embedding, lambda n: n),
-    (multiply_map, lambda n: n - 1)],
-    ids=["transposition", "face_embedding", "multiply_map"])
+    (transposition, lambda n: n - 1), (multiply_map, lambda n: n - 1)],
+    ids=["transposition", "multiply_map"])
 def test_builder_index_range(builder, last):
     for n in range(1, 5):
         builder(n, last(n))
@@ -234,21 +230,21 @@ def test_bar_action_identity_and_units():
     A = dual_numbers_algebra()
     x = A.index["x"]
     v = {(x, x): 1}
-    assert b_sym_action(A, identity(1), v) == v
+    assert b_sym_action(A, loop_identity(1), v) == v
     # merging the two x slots gives x*x = 0
     assert b_sym_action(A, multiply_map(1, 0), v) == {}
     # an empty monomial inserts the unit
-    w = b_sym_action(A, face_embedding(2, 1), v)
+    w = b_sym_action(A, loop_face_embedding(2, 1), v)
     assert w == {(x, A.index["1"], x): 1}
 
 
 def test_bar_action_arity_guard():
     A = dual_numbers_algebra()
     with pytest.raises(ArityMismatchError):
-        b_sym_action(A, identity(2), {(0, 1): 1})
+        b_sym_action(A, loop_identity(2), {(0, 1): 1})
     # every word is checked, not only the first
     with pytest.raises(ArityMismatchError):
-        b_sym_action(A, identity(1), {(0, 1): 1, (0, 1, 1): 2})
+        b_sym_action(A, loop_identity(1), {(0, 1): 1, (0, 1, 1): 2})
 
 
 def substitute(images, word):
@@ -281,10 +277,10 @@ def test_psi_sym_images():
 def test_cyclic_rotation_embedding():
     for n in range(1, 5):
         # n+1 rotations give the identity
-        g = identity(n)
+        g = loop_identity(n)
         for _ in range(n + 1):
             g = compose(rotation(n), g)
-        assert g == identity(n)
+        assert g == loop_identity(n)
 
 
 def test_hochschild_face_wraparound():
@@ -400,14 +396,14 @@ def earlier_generators(arity_cap, cyclic):
                 yield n, compose(multiply_map(n, 0), rotation(n))
             if n + 1 < arity_cap:
                 for i in range(n + 1):
-                    yield n, face_embedding(n + 1, i + 1)
+                    yield n, loop_face_embedding(n + 1, i + 1)
         else:
             for i in range(n):
                 yield n, transposition(n, i)
                 yield n, multiply_map(n, i)
             if n + 1 < arity_cap:
                 for i in range(n + 2):
-                    yield n, face_embedding(n + 1, i)
+                    yield n, loop_face_embedding(n + 1, i)
 
 
 def coequalizer_dim(A, arity_cap, morphisms):

@@ -56,7 +56,7 @@ def test_weight_dropping_differential_allowed():
     # the differential may lose weight (needed by the cobar construction)
     gens = [GeneratorSpec("x", 0, 1), GeneratorSpec("t", 1, 3)]
     R = FreeDGAlgebra(gens, {"t": {("x",): 1}})
-    assert R.d_gen("t") == {("x",): 1}
+    assert R.differential.get("t", {}) == {("x",): 1}
 
 
 def test_differential_coefficients_are_rationals_without_zeros():
@@ -67,9 +67,9 @@ def test_differential_coefficients_are_rationals_without_zeros():
                              "u": {("x", "x"): "1/2"}})
     assert R.differential == {"s": {("x", "x"): 2},
                               "u": {("x", "x"): QQ(1, 2)}}
-    assert type(R.d_gen("s")[("x", "x")]) is int
-    assert type(R.d_gen("u")[("x", "x")]) is QQ
-    assert R.d_gen("t") == {}
+    assert type(R.differential.get("s", {})[("x", "x")]) is int
+    assert type(R.differential.get("u", {})[("x", "x")]) is QQ
+    assert R.differential.get("t", {}) == {}
 
 
 def test_derivation_leibniz_rule():
@@ -98,14 +98,14 @@ def test_derivation_leibniz_rule():
 
 def test_dual_numbers_resolution_d_squared():
     R = dual_numbers_resolution(9)
-    assert R.check_d_squared(9, 12)
+    assert R.check_d_squared()
 
 
 def test_dual_numbers_resolution_low_differentials():
     R = dual_numbers_resolution(3)
-    assert R.d_gen("t1") == {("x", "x"): 1}
-    assert R.d_gen("t2") == {("x", "t1"): 1, ("t1", "x"): -1}
-    assert R.d_gen("t3") == \
+    assert R.differential.get("t1", {}) == {("x", "x"): 1}
+    assert R.differential.get("t2", {}) == {("x", "t1"): 1, ("t1", "x"): -1}
+    assert R.differential.get("t3", {}) == \
         {("x", "t2"): 1, ("t1", "t1"): -1, ("t2", "x"): 1}
 
 
@@ -130,14 +130,9 @@ def _word_basis(R, hdeg, weight):
 def _word_block_homology(R, hdeg, weight):
     """Homology of the full word complex of R at one bidegree."""
     def block(h):
-        src = _word_basis(R, h, weight)
-        tgt = _word_basis(R, h - 1, weight)
-        ti = {w: r for r, w in enumerate(tgt)}
-        entries = {}
-        for c, word in enumerate(src):
-            for w2, v in R.d({word: 1}).items():
-                entries[(ti[w2], c)] = v
-        return SparseMatrix(len(tgt), len(src), entries)
+        return SparseMatrix.from_images(
+            _word_basis(R, h, weight), _word_basis(R, h - 1, weight),
+            lambda word: R.d({word: 1}))
 
     mid = len(_word_basis(R, hdeg, weight))
     d_out = block(hdeg) if hdeg > 0 else SparseMatrix(0, mid)
@@ -206,10 +201,10 @@ def _bar_coalgebra_cobar(i_max, doubled=False):
 
 def test_cobar_d_squared_is_zero_exactly_on_a_coassociative_coproduct():
     R = _bar_coalgebra_cobar(5)
-    assert R.check_d_squared(5, 6)
+    assert R.check_d_squared()
     assert R.to_json() == dual_numbers_resolution(5).to_json()
     # negative control: d^2 = 0 on Omega C is coassociativity of C
     broken = _bar_coalgebra_cobar(5, doubled=True)
-    assert not broken.check_d_squared(5, 6)
-    assert [g.name for g in broken.generators
-            if broken.d(broken.d_gen(g.name))] == ["t2", "t3", "t4", "t5"]
+    assert not broken.check_d_squared()
+    assert [name for name, dg in broken.differential.items()
+            if broken.d(dg)] == ["t2", "t3", "t4", "t5"]

@@ -30,6 +30,12 @@ def odd_first():
                   ("u", "u"): {"v": 1}})
 
 
+def ce_d_squared_vanishes(C, cap):
+    """Whether the CE d^2 = 0 on every wedge word of degree <= cap."""
+    return not any(C.d_squared(w) for words in
+                   C.alg.monomial_bases(cap, cap).values() for w in words)
+
+
 def flipped_cobar(C):
     """cobar(C, 4, 6) without the desuspension Koszul factor that
     freealg.cobar writes: each quadratic term whose left generator has
@@ -165,7 +171,7 @@ def test_validate_accepts_exactly_the_brute_force_dg_lie_algebras():
             rejected += 1
             continue
         assert brute_force_dg_lie(hdegs, bracket, differential)
-        assert CECoalgebra(a).check_d_squared(3 * max(hdegs) + 6)
+        assert ce_d_squared_vanishes(CECoalgebra(a), 3 * max(hdegs) + 6)
         accepted += 1
     assert accepted >= 100 and rejected >= 100
 
@@ -195,14 +201,14 @@ def test_ce_d_squared_all_builtins():
     for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2),
               even_letters(), direct_sum(sl2(), even_letters()),
               odd_first()):
-        assert CECoalgebra(a).check_d_squared(5)
+        assert ce_d_squared_vanishes(CECoalgebra(a), 5)
 
 
 def test_ce_d_squared_with_internal_differential():
     # sl2 plus a contractible summand exercises mixed Koszul signs
     contractible = DGLie(["u", "v"], [1, 0], differential={"u": {"v": 1}})
     mixed = direct_sum(sl2(), contractible)
-    assert CECoalgebra(mixed).check_d_squared(5)
+    assert ce_d_squared_vanishes(CECoalgebra(mixed), 5)
 
 
 def test_ce_homology_sl2():
@@ -255,13 +261,13 @@ def test_cobar_d_squared():
     for a in (sl2(), heisenberg(), nonabelian_2dim(), abelian_lie(2)):
         C = ce_complex(a)
         omega = cobar(C, 4, 6)
-        assert omega.check_d_squared(4, 6)
+        assert omega.check_d_squared()
 
 
 def test_cobar_flipped_sign_breaks_d_squared():
     # negative control: dropping the desuspension Koszul factor must not
     # give a differential (detected by a Lie algebra with enough bracket)
-    assert not flipped_cobar(ce_complex(sl2())).check_d_squared(4, 6)
+    assert not flipped_cobar(ce_complex(sl2())).check_d_squared()
 
 
 def doubled_first_contraction(diff):

@@ -18,16 +18,34 @@ from symhom.rationals import QQ
 from symhom.repfun import rep_n
 
 
+def matrix(rows, cols, entries):
+    """The rows x cols SparseMatrix with the given {(i, j): v} entries,
+    filled by from_images as every matrix of the package is."""
+    columns = [{} for _ in range(cols)]
+    for (i, j), v in entries.items():
+        columns[j][i] = v
+    return SparseMatrix.from_images(range(cols), range(rows),
+                                    columns.__getitem__)
+
+
 def dense(data):
     """The SparseMatrix of a list of rows."""
-    return SparseMatrix(len(data), len(data[0]) if data else 0,
-                        {(i, j): v for i, row in enumerate(data)
-                         for j, v in enumerate(row) if v})
+    return matrix(len(data), len(data[0]) if data else 0,
+                  {(i, j): v for i, row in enumerate(data)
+                   for j, v in enumerate(row)})
 
 
 def transpose(M):
-    return SparseMatrix(M.cols, M.rows,
-                        {(j, i): v for (i, j), v in M.entries.items()})
+    return matrix(M.cols, M.rows,
+                  {(j, i): v for (i, j), v in M.entries.items()})
+
+
+def same_matrix(A, B):
+    return (A.rows, A.cols, A.entries) == (B.rows, B.cols, B.entries)
+
+
+def row_dicts(M):
+    return [dict(r) for r in M.data]
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -36,7 +54,7 @@ def random_matrix(rng, rows, cols, density=0.4):
         for j in range(cols):
             if rng.random() < density:
                 entries[(i, j)] = QQ(rng.randint(-5, 5))
-    return SparseMatrix(rows, cols, entries)
+    return matrix(rows, cols, entries)
 
 
 def dense_rank(M):
@@ -52,7 +70,7 @@ def dense_rank(M):
         a[r], a[p] = a[p], a[r]
         for i in range(M.rows):
             if i != r and a[i][c]:
-                f = a[i][c] / a[r][c]
+                f = QQ(a[i][c]) / a[r][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
     return r
@@ -72,8 +90,8 @@ def tie_heavy_matrix(rng, rows, cols):
         else:
             out.append({j: QQ(rng.choice((1, -1)))
                         for j in rng.sample(range(cols), min(2, cols))})
-    return SparseMatrix(rows, cols, {(i, j): c for i, r in enumerate(out)
-                                     for j, c in r.items()})
+    return matrix(rows, cols, {(i, j): c for i, r in enumerate(out)
+                               for j, c in r.items()})
 
 
 def seeded_matrices(seed):
@@ -93,14 +111,23 @@ def test_rank_matches_dense_reference():
         assert rank(M) == dense_rank(M)
 
 
+def test_rank_of_a_matrix_that_float_division_misranks():
+    # dividing two int entries with / gives a float, and the rounding
+    # left a nonzero entry here, so the dense reference read rank 4
+    M = matrix(4, 7, {(0, 2): -4, (0, 6): -3, (1, 0): -5, (1, 3): 3,
+                      (2, 0): 4, (2, 1): -4, (2, 3): -5,
+                      (3, 1): -4, (3, 3): QQ(-13, 5)})
+    assert rank(M) == dense_rank(M) == 3
+
+
 def test_eliminate_pivots_are_reduced_and_count_the_rank():
     # each pivot row is zero in the columns of the pivots before it; the
     # pivot rows lie in the row space, and there are rank of them
     for M in seeded_matrices(23):
-        pivots = linalg.eliminate(M.row_dicts())
+        pivots = linalg.eliminate(row_dicts(M))
         for k, (c, row) in enumerate(pivots):
             assert row[c] and not any(pc in row for pc, _ in pivots[:k])
-        stacked = SparseMatrix(M.rows + len(pivots), M.cols, {
+        stacked = matrix(M.rows + len(pivots), M.cols, {
             **M.entries, **{(M.rows + k, j): v
                             for k, (_, row) in enumerate(pivots)
                             for j, v in row.items()}})
@@ -113,7 +140,7 @@ def test_rank_dense_examples():
     assert rank(dense([[0, 0], [0, 0]])) == 0
     assert rank(dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
     assert rank(SparseMatrix(5, 7)) == 0
-    assert rank(SparseMatrix(6, 6, {(i, i): 1 for i in range(6)})) == 6
+    assert rank(matrix(6, 6, {(i, i): 1 for i in range(6)})) == 6
 
 
 def test_rank_fractional_entries():
@@ -132,7 +159,7 @@ def test_from_images_writes_columns_on_the_target_basis():
     M = SparseMatrix.from_images(
         ["u", "v"], ["a", "b", "c"],
         lambda x: {"a": QQ(1), "c": QQ(2)} if x == "u" else {"b": QQ(-1)})
-    assert M == dense([[1, 0], [0, -1], [2, 0]])
+    assert same_matrix(M, dense([[1, 0], [0, -1], [2, 0]]))
 
 
 def test_from_images_rejects_a_term_outside_the_target():
@@ -155,14 +182,9 @@ def test_add_term_cancels_and_keeps_ints():
 def test_matmul_shapes_and_values():
     A = dense([[1, 2], [3, 4]])
     B = dense([[0, 1], [1, 0]])
-    assert A.matmul(B) == dense([[2, 1], [4, 3]])
+    assert same_matrix(A.matmul(B), dense([[2, 1], [4, 3]]))
     with pytest.raises(ValueError):
         A.matmul(SparseMatrix(3, 3))
-
-
-def test_out_of_bounds_entry_rejected():
-    with pytest.raises(IndexError):
-        SparseMatrix(2, 2, {(2, 0): 1})
 
 
 def test_homology_dim_small_complex():
@@ -215,7 +237,7 @@ def test_quotient_space_matches_dense_reference():
         # labels in an order unrelated to the columns
         labels = [("v", j) for j in range(cols)]
         rng.shuffle(labels)
-        rels = [{labels[j]: c for j, c in r.items()} for r in M.row_dicts()]
+        rels = [{labels[j]: c for j, c in r.items()} for r in row_dicts(M)]
         q = QuotientSpace(labels, rels)
         assert q.dim == cols - dense_rank(M)
         for rel in rels:
@@ -261,7 +283,7 @@ def simplex_boundary(h, w, signed=True):
         for k in range(len(face) if h else 0):
             sign = (-1) ** k if signed else 1
             entries[(ti[face[:k] + face[k + 1:]], c)] = sign
-    return SparseMatrix(len(tgt), len(src), entries)
+    return matrix(len(tgt), len(src), entries)
 
 
 def simplex_groups(hdeg_cap, weight_cap):
@@ -333,7 +355,7 @@ def test_every_cleared_rank_is_the_full_rank(monkeypatch, job):
     real_rank = linalg.rank
 
     def full_and_cleared_rank(M, *args):
-        full = len(linalg.eliminate(M.row_dicts()))
+        full = len(linalg.eliminate(row_dicts(M)))
         ranks.append((real_rank(M, *args), full))
         return ranks[-1][0]
 
@@ -380,7 +402,7 @@ def is_exact(x):
 
 
 def test_entries_are_held_as_ints_when_integral():
-    M = SparseMatrix(2, 2, {(0, 0): QQ(4, 2), (0, 1): "3/6", (1, 1): -1})
+    M = matrix(2, 2, {(0, 0): QQ(4, 2), (0, 1): "3/6", (1, 1): -1})
     assert M.entries == {(0, 0): 2, (0, 1): QQ(1, 2), (1, 1): -1}
     assert [type(M.entries[k]) for k in ((0, 0), (0, 1), (1, 1))] == \
         [int, QQ, int]
@@ -398,7 +420,7 @@ def test_div_stays_integral_when_exact():
 
 def test_eliminate_on_ints_and_fractions_agrees():
     for M in seeded_matrices(303):
-        int_rows = M.row_dicts()
+        int_rows = row_dicts(M)
         assert all(type(v) is int for r in int_rows for v in r.values())
         frac_rows = [{j: QQ(v) for j, v in r.items()} for r in int_rows]
         with_ints = linalg.eliminate([dict(r) for r in int_rows])
@@ -411,7 +433,7 @@ def test_pivots_that_force_fractions():
     # every column is hit by both rows, so the first pivot is 2 in
     # column 0 and the second row is reduced by the factor 3/2
     M = dense([[2, 1, 1], [3, 1, 2]])
-    pivots = linalg.eliminate(M.row_dicts())
+    pivots = linalg.eliminate(row_dicts(M))
     assert pivots == [(0, {0: 2, 1: 1, 2: 1}),
                       (1, {1: QQ(-1, 2), 2: QQ(1, 2)})]
     assert rank(M) == 2
@@ -437,14 +459,14 @@ def test_no_float_ever_appears():
                                        QQ(rng.randint(-4, 4), 3)))
                    for i in range(rows) for j in range(cols)
                    if rng.random() < 0.5}
-        M = SparseMatrix(rows, cols, entries)
+        M = matrix(rows, cols, entries)
         assert all(is_exact(v) for v in M.entries.values())
         assert all(is_exact(v) for v in M.matmul(transpose(M))
                    .entries.values())
-        for _, row in linalg.eliminate(M.row_dicts()):
+        for _, row in linalg.eliminate(row_dicts(M)):
             assert all(type(v) in (int, QQ) for v in row.values())
         q = QuotientSpace(range(cols), [{j: v for j, v in r.items()}
-                                        for r in M.row_dicts()])
+                                        for r in row_dicts(M)])
         for j in range(cols):
             assert all(type(v) in (int, QQ)
                        for v in q.project({j: QQ(1, 2)}).values())

@@ -41,7 +41,7 @@ def test_rep_2_of_a_unit_boundary_is_diagonal():
 def test_rep_n_d_squared():
     R = dual_numbers_resolution(3)
     for n in (1, 2, 3):
-        assert rep_n(R, n).check_d_squared(3, 4)
+        assert rep_n(R, n).check_d_squared()
 
 
 def test_rep_2_generator_count():
