@@ -8,23 +8,29 @@ normal form where a morphism enters from outside (parse_morphism calls
 it); the constructors below build normal forms and return them
 unchecked.  The source arity is arity(f), the target arity len(f).
 Composition is substitution.  Every morphism factors uniquely as
-f = g o sigma, g monotone and sigma a permutation (factorize); each
-constructor below is one such factor, monotone(sizes) or
-permutation_morphism(sigma).  An element of the symmetric bar
-construction is a dict, word of basis indices -> scalar.  The degree-0
-coequalizers take one relation per word and generator of the category:
-per arity one rotation, one swap (Delta-S only) and one merge.
+f = g o sigma, g monotone and sigma a permutation (factorize); the
+monotone factors are built by monotone(sizes).  An element of the
+symmetric bar construction is a dict, word of basis indices -> scalar.
+
+Degree-0 coequalizers work on orbits: the automorphisms of [n]
+(S_{n+1} in Delta-S, the rotations in the cyclic category Delta-C) only
+permute a word's letters, so orbits (_orbit) meet their relations.
+Every other morphism is a chain of merges and unit insertions after an
+automorphism; each merge is the first merge between two automorphisms,
+and the first merge undoes a unit inserted in front.  So the first
+merge's relations span those of every morphism.
 """
 
-from itertools import count, islice, product
+from itertools import (accumulate, combinations_with_replacement, count,
+                       islice, product)
+from math import comb
 
 from .bar import DEFAULT_BUDGET, CapOverflowError
 from .linalg import QuotientSpace, add_term
 
 __all__ = [
-    "ArityMismatchError", "morphism", "arity", "monotone",
-    "permutation_morphism", "compose", "factorize", "transposition",
-    "rotation", "multiply_map", "parse_morphism",
+    "ArityMismatchError", "morphism", "arity", "monotone", "compose",
+    "factorize", "multiply_map", "parse_morphism",
     "format_morphism", "b_sym_action", "psi_sym", "abelianization_quotient",
     "hs0_coequalizer", "hc0_coequalizer",
 ]
@@ -59,28 +65,6 @@ def monotone(sizes):
     variables in order: the monotone factor g of f = g o sigma."""
     var = count()
     return tuple(tuple(islice(var, s)) for s in sizes)
-
-
-def permutation_morphism(sigma):
-    """The automorphism sending variable j to slot sigma[j]."""
-    inv = [0] * len(sigma)
-    for j, s in enumerate(sigma):
-        inv[s] = j
-    return tuple((j,) for j in inv)
-
-
-def transposition(n, i):
-    """The adjacent transposition (i, i+1) as an automorphism of [n]."""
-    if not 0 <= i < n:
-        raise IndexError("transposition index out of range")
-    sigma = list(range(n + 1))
-    sigma[i], sigma[i + 1] = i + 1, i
-    return permutation_morphism(sigma)
-
-
-def rotation(n):
-    """The cyclic rotation t: a_0 x ... x a_n -> a_n x a_0 x ... x a_{n-1}."""
-    return permutation_morphism(list(range(1, n + 1)) + [0])
 
 
 def multiply_map(n, i):
@@ -216,47 +200,57 @@ def abelianization_quotient(A):
     return QuotientSpace(labels, relations)
 
 
-def _coequalizer_generators(arity_cap, cyclic):
-    """Generating morphisms with both endpoints at arity <= arity_cap, as
-    pairs (n, f) with f a morphism out of [n].
+def _orbit(word, cyclic):
+    """A word's orbit representative under Aut([n]): its least rotation
+    in Delta-C, its sorted word in Delta-S."""
+    if cyclic:
+        return min(word[i:] + word[:i] for i in range(len(word)))
+    return tuple(sorted(word))
 
-    Delta-C is generated by Delta and the rotations, Delta-S by Delta and
-    the symmetric groups, which the rotation and the swap (0 1) generate.
-    Every merge or unit insertion is the first merge or the last insertion
-    with an automorphism on each side, and the last insertion, rotated to
-    the front and merged into the next slot, gives back the word; so the
-    relations of these few morphisms span those of every morphism.
-    """
+
+def _relation_counts(d, arity_cap, cyclic):
+    """How many relations out of [n] _coequalizer_space builds, n >= 1, at
+    dim A = d: d^2 pairs times the rests of length n - 1, words in
+    Delta-C, multisets in Delta-S."""
     for n in range(1, arity_cap):
-        yield n, rotation(n)
-        if not cyclic and n >= 2:  # at n = 1 the swap is the rotation
-            yield n, transposition(n, 0)
-        yield n, multiply_map(n, 0)
+        yield d * d * (d ** (n - 1) if cyclic else comb(d + n - 2, n - 1))
 
 
 def _coequalizer_space(A, arity_cap, cyclic):
-    """The truncated coequalizer as a QuotientSpace: one relation per
-    generating morphism out of [n] and word of length n + 1.  Raises
+    """The truncated coequalizer as a QuotientSpace on orbits of words
+    of length <= arity_cap, with one relation [w] - [mu_0(w)] per
+    w = (a, b) + rest: rest is a word in Delta-C and a multiset in
+    Delta-S, whose permutations move neither orbit.  Raises
     CapOverflowError before building anything when the relations would
     outnumber bar.DEFAULT_BUDGET."""
     if arity_cap < 1:
         raise ValueError("arity_cap must be >= 1")
-    generators = list(_coequalizer_generators(arity_cap, cyclic))
-    size = sum(A.dim ** (n + 1) for n, _ in generators)
-    if size > DEFAULT_BUDGET:
-        raise CapOverflowError(
-            "coequalizer at arity cap %d builds up to %d relations, over the "
-            "budget %d" % (arity_cap, size, DEFAULT_BUDGET))
-    labels = [(n, w) for n in range(arity_cap)
-              for w in product(range(A.dim), repeat=n + 1)]
+    counts = accumulate(_relation_counts(A.dim, arity_cap, cyclic))
+    for arity, size in enumerate(counts, 2):
+        if size > DEFAULT_BUDGET:
+            raise CapOverflowError(
+                "coequalizer at arity cap %d builds %d relations through "
+                "arity %d, over the budget %d"
+                % (arity_cap, size, arity, DEFAULT_BUDGET))
+    letters = range(A.dim)
+
+    def words(length):  # sorted words only in Delta-S
+        if cyclic:
+            return product(letters, repeat=length)
+        return combinations_with_replacement(letters, length)
+
+    labels = [(n, w) for n in range(arity_cap) for w in words(n + 1)
+              if w == _orbit(w, cyclic)]
+    # mu_0 multiplies the pair and keeps the rest
+    merged = {pair: b_sym_action(A, multiply_map(1, 0), {pair: 1})
+              for pair in product(letters, repeat=2)}
     relations = []
-    for n, f in generators:
-        m = len(f) - 1
-        for w in product(range(A.dim), repeat=n + 1):
-            rel = {(n, w): 1}
-            for iw, c in b_sym_action(A, f, {w: 1}).items():
-                add_term(rel, (m, iw), -c)
-            if rel:
+    for n in range(1, arity_cap):
+        for pair, image in merged.items():
+            for rest in words(n - 1):
+                rel = {(n, _orbit(pair + rest, cyclic)): 1}
+                for head, c in image.items():
+                    add_term(rel, (n - 1, _orbit(head + rest, cyclic)), -c)
                 relations.append(rel)
     return QuotientSpace(labels, relations)
 

@@ -12,10 +12,11 @@ import time
 
 from symhom.bar import bar_level_basis, face_map, hr_via_bar
 from symhom.commalg import abelianize
-from symhom.deltas import (_coequalizer_space, abelianization_quotient,
-                           arity, b_sym_action, compose, factorize,
-                           format_morphism, hc0_coequalizer, hs0_coequalizer,
-                           monotone, morphism, permutation_morphism, psi_sym)
+from symhom.deltas import (_coequalizer_space, _orbit,
+                           abelianization_quotient, arity, b_sym_action,
+                           compose, factorize, format_morphism,
+                           hc0_coequalizer, hs0_coequalizer, monotone,
+                           morphism, psi_sym)
 from symhom.findim import (dual_numbers_algebra, free_tensor_algebra,
                            matrix_algebra, upper_triangular_algebra)
 from symhom.freealg import dual_numbers_resolution, \
@@ -26,6 +27,7 @@ from symhom.linalg import SparseMatrix, rank
 from symhom.rationals import QQ, ZERO
 from symhom.repfun import hr_n, rep_n
 from test_commalg import euler_prediction, table_euler
+from test_deltas import loop_permutation
 from test_lie import flipped_cobar
 
 
@@ -170,7 +172,10 @@ def test_criterion_6_degree_zero_stabilization():
             canonical = aab.project({i: QQ(1)})
             via_hs = to_aab(A, aab, quo.project({(0, (i,)): QQ(1)}))
             hs_coords = {}
-            for key, c in cycq.project({(0, (i,)): QQ(1)}).items():
+            for (n, w), c in cycq.project({(0, (i,)): QQ(1)}).items():
+                # Delta-C inside Delta-S, on orbits: a necklace lies in
+                # one symmetric orbit
+                key = (n, _orbit(w, cyclic=False))
                 for k2, v in quo.project({key: c}).items():
                     s = hs_coords.get(k2, ZERO) + v
                     if s:
@@ -256,7 +261,7 @@ def test_criterion_7_property_suites():
                 sigma, mono = factorize(f)
                 flat = [v for m in mono for v in m]
                 if flat != list(range(a)) or \
-                        compose(mono, permutation_morphism(sigma)) != f:
+                        compose(mono, loop_permutation(sigma)) != f:
                     fail("factorization %s" % format_morphism(f))
 
     # (c) 1000 seeded random composites: associativity, factorization,
@@ -272,7 +277,7 @@ def test_criterion_7_property_suites():
         if compose(h, gf) != compose(compose(h, g), f):
             fail("associativity")
         sigma, mono = factorize(gf)
-        if compose(mono, permutation_morphism(sigma)) != gf:
+        if compose(mono, loop_permutation(sigma)) != gf:
             fail("composite factorization")
         # Psi(g o f) = Psi(f) o Psi(g): the j-th image word of g with each
         # generator X_v replaced by the v-th image word of f

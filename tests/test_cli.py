@@ -575,15 +575,25 @@ def test_over_budget_exits_3_with_one_error_line(capsys, monkeypatch):
 
 def test_coequalizer_over_budget_exits_3_before_building(capsys,
                                                          monkeypatch):
-    # M_2 at arity cap 9 needs 1,048,544 relations for hs0 and 699,040
-    # for hc0; the budget is checked on the count, before any relation is
-    # built
+    # the relations are the first merge's on orbits: over M_2, hs0 needs
+    # 16 * C(31, 4) = 503,440 of them at arity cap 29 (438,480 at cap 28)
+    # and hc0 needs 4^2 + ... + 4^10 = 1,398,096 at cap 10 (349,520 at cap
+    # 9); the budget is checked on the count, before any relation is built,
+    # and the count stops at the arity that crosses it, so a cap far past
+    # it exits as fast, and its total, too long to print, is never formed
     monkeypatch.setattr(deltas, "b_sym_action", None)
-    for cmd in ("hs0", "hc0"):
-        code, out, err = run(capsys, cmd, "m2", "--arity-cap", "9")
+    for cmd, cap in (("hs0", "29"), ("hc0", "10"), ("hc0", "8000"),
+                     ("hs0", "1000000000000")):
+        code, out, err = run(capsys, cmd, "m2", "--arity-cap", cap)
         assert code == 3 and out == ""
-        assert err.startswith("error: coequalizer at arity cap 9 ")
+        assert err.startswith("error: coequalizer at arity cap %s " % cap)
         assert err.count("\n") == 1
+
+
+def test_coequalizer_within_budget_at_arity_cap_9(capsys):
+    # 5,280 relations, within the budget
+    code, out, err = run(capsys, "hs0", "m2", "--arity-cap", "9")
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_default_and_named_pipeline_share_one_cache_entry(tmp_path,

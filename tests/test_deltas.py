@@ -2,17 +2,17 @@
 the bar action, the free-group functor, and degree-0 coequalizers."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from symhom import deltas
 from symhom.deltas import (ArityMismatchError, _coequalizer_space,
-                           abelianization_quotient, arity, b_sym_action,
-                           compose, factorize, format_morphism,
+                           _relation_counts, abelianization_quotient, arity,
+                           b_sym_action, compose, factorize, format_morphism,
                            hc0_coequalizer, hs0_coequalizer, monotone,
-                           morphism, multiply_map, parse_morphism,
-                           permutation_morphism, psi_sym, rotation,
-                           transposition)
+                           morphism, multiply_map, parse_morphism, psi_sym)
 from symhom.findim import (FinDimAlgebra, dual_numbers_algebra,
                            free_tensor_algebra, matrix_algebra,
                            upper_triangular_algebra)
@@ -77,7 +77,6 @@ def test_arities():
 
 def test_enumeration_counts():
     # (source arity)! * C(source + target - 1, target - 1) morphisms
-    import math
     for a in range(1, 5):
         for b in range(1, 5):
             count = sum(1 for _ in all_morphisms(a, b))
@@ -118,7 +117,7 @@ def test_factorization_exhaustive_small():
                 # monotone part: consecutive variables in each slot
                 flat = [v for m in mono for v in m]
                 assert flat == sorted(flat) == list(range(a))
-                assert compose(mono, permutation_morphism(sigma)) == f
+                assert compose(mono, loop_permutation(sigma)) == f
 
 
 def test_factorization_of_random_composites():
@@ -127,22 +126,30 @@ def test_factorization_of_random_composites():
         a, b, c = (rng.randint(1, 6) for _ in range(3))
         f = compose(random_morphism(rng, b, c), random_morphism(rng, a, b))
         sigma, mono = factorize(f)
-        assert compose(mono, permutation_morphism(sigma)) == f
+        assert compose(mono, loop_permutation(sigma)) == f
 
 
 def test_generators_have_expected_normal_forms():
-    assert format_morphism(transposition(2, 0)) == "(x1)|(x0)|(x2)"
-    assert format_morphism(rotation(2)) == "(x2)|(x0)|(x1)"
+    assert format_morphism(loop_transposition(2, 0)) == "(x1)|(x0)|(x2)"
+    assert format_morphism(loop_rotation(2)) == "(x2)|(x0)|(x1)"
     assert format_morphism(multiply_map(2, 0)) == "(x0 x1)|(x2)"
     assert format_morphism(monotone([1, 0, 1])) == "(x0)|1|(x1)"
 
 
-# reference builders laid out slot by slot, independent of monotone and
-# permutation_morphism
+# reference builders laid out slot by slot, independent of monotone; the
+# automorphisms are built only here
 
 
 def loop_identity(n):
     return tuple((i,) for i in range(n + 1))
+
+
+def loop_permutation(sigma):
+    """The automorphism sending variable j to slot sigma[j]."""
+    mon = [None] * len(sigma)
+    for j, s in enumerate(sigma):
+        mon[s] = (j,)
+    return tuple(mon)
 
 
 def loop_transposition(n, i):
@@ -181,15 +188,19 @@ def loop_multiply_map(n, i):
 
 def test_builders_match_the_hand_written_loops():
     for n in range(7):
-        assert rotation(n) == loop_rotation(n)
         for i in range(n):
-            assert transposition(n, i) == loop_transposition(n, i)
             assert multiply_map(n, i) == loop_multiply_map(n, i)
+        # the rotation and the transpositions agree with the permutations
+        assert loop_rotation(n) == \
+            loop_permutation(list(range(1, n + 1)) + [0])
+        for i in range(n):
+            sigma = list(range(n + 1))
+            sigma[i], sigma[i + 1] = i + 1, i
+            assert loop_transposition(n, i) == loop_permutation(sigma)
 
 
 @pytest.mark.parametrize("builder, last", [
-    (transposition, lambda n: n - 1), (multiply_map, lambda n: n - 1)],
-    ids=["transposition", "multiply_map"])
+    (multiply_map, lambda n: n - 1)], ids=["multiply_map"])
 def test_builder_index_range(builder, last):
     for n in range(1, 5):
         builder(n, last(n))
@@ -279,14 +290,14 @@ def test_cyclic_rotation_embedding():
         # n+1 rotations give the identity
         g = loop_identity(n)
         for _ in range(n + 1):
-            g = compose(rotation(n), g)
+            g = compose(loop_rotation(n), g)
         assert g == loop_identity(n)
 
 
 def test_hochschild_face_wraparound():
     # the last Hochschild face d_2 multiplies the last slot into the
     # first: the first merge after the rotation
-    face = compose(multiply_map(2, 0), rotation(2))
+    face = compose(multiply_map(2, 0), loop_rotation(2))
     assert face == ((2, 0), (1,))
     A = upper_triangular_algebra()
     e12, e22, e11 = A.index["e12"], A.index["e22"], A.index["e11"]
@@ -307,16 +318,18 @@ def test_abelianization_quotient_dimensions():
 
 
 def test_hs0_coequalizer_values():
-    assert hs0_coequalizer(dual_numbers_algebra(), 3) == 2
-    assert hs0_coequalizer(matrix_algebra(2), 3) == 0
-    assert hs0_coequalizer(upper_triangular_algebra(), 3) == 2
+    for cap in range(3, 9):
+        assert hs0_coequalizer(dual_numbers_algebra(), cap) == 2
+        assert hs0_coequalizer(matrix_algebra(2), cap) == 0
+        assert hs0_coequalizer(upper_triangular_algebra(), cap) == 2
 
 
 def test_hc0_coequalizer_values():
     # A/[A, A]: 2 for the dual numbers, 1 for M2, 2 for upper-triangular
-    assert hc0_coequalizer(dual_numbers_algebra(), 3) == 2
-    assert hc0_coequalizer(matrix_algebra(2), 3) == 1
-    assert hc0_coequalizer(upper_triangular_algebra(), 3) == 2
+    for cap in range(3, 7):
+        assert hc0_coequalizer(dual_numbers_algebra(), cap) == 2
+        assert hc0_coequalizer(matrix_algebra(2), cap) == 1
+        assert hc0_coequalizer(upper_triangular_algebra(), cap) == 2
 
 
 def test_coequalizer_comparison_is_canonical_quotient():
@@ -379,7 +392,7 @@ def every_morphism(arity_cap, cyclic):
             for m in range(arity_cap):
                 for sizes in weak_compositions(n + 1, m + 1):
                     yield n, compose(monotone(sizes),
-                                     permutation_morphism(sigma))
+                                     loop_permutation(sigma))
 
 
 def earlier_generators(arity_cap, cyclic):
@@ -390,16 +403,16 @@ def earlier_generators(arity_cap, cyclic):
     for n in range(arity_cap):
         if cyclic:
             if n >= 1:
-                yield n, rotation(n)
+                yield n, loop_rotation(n)
                 for i in range(n):
                     yield n, multiply_map(n, i)
-                yield n, compose(multiply_map(n, 0), rotation(n))
+                yield n, compose(multiply_map(n, 0), loop_rotation(n))
             if n + 1 < arity_cap:
                 for i in range(n + 1):
                     yield n, loop_face_embedding(n + 1, i + 1)
         else:
             for i in range(n):
-                yield n, transposition(n, i)
+                yield n, loop_transposition(n, i)
                 yield n, multiply_map(n, i)
             if n + 1 < arity_cap:
                 for i in range(n + 2):
@@ -454,3 +467,38 @@ def test_group_algebras_in_degree_0(A, abelianization, classes):
     for cap in (3, 4):
         assert hs0_coequalizer(A, cap) == abelianization
         assert hc0_coequalizer(A, cap) == classes
+
+
+def orbit_count(d, length, cyclic):
+    """The number of orbits of words of the given length in d letters:
+    multisets under the symmetric group; necklaces under the rotations,
+    by Burnside, the rotation by k fixing d^gcd(k, length) words."""
+    if not cyclic:
+        return math.comb(d + length - 1, length)
+    return sum(d ** math.gcd(k, length) for k in range(length)) // length
+
+
+def orbit_of(word, cyclic):
+    """The orbit itself, as a set of words."""
+    if cyclic:
+        return frozenset(word[k:] + word[:k] for k in range(len(word)))
+    return frozenset(itertools.permutations(word))
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["S", "C"])
+@pytest.mark.parametrize("name", ["dual-numbers", "m2", "ut2"])
+def test_one_label_per_orbit_and_the_budget_counts_the_relations(
+        name, cyclic, monkeypatch):
+    A = SMALL_ALGEBRAS[name]()
+    monkeypatch.setattr(deltas, "QuotientSpace",
+                        lambda labels, relations: (labels, relations))
+    for cap in range(1, 6):
+        labels, relations = _coequalizer_space(A, cap, cyclic)
+        for n in range(cap):
+            words = [w for m, w in labels if m == n]
+            orbits = {orbit_of(w, cyclic) for w in words}
+            assert len(orbits) == len(words) == \
+                orbit_count(A.dim, n + 1, cyclic)
+        assert len(relations) == sum(_relation_counts(A.dim, cap, cyclic))
+        # every relation is written on the labels
+        assert set().union(*relations) <= set(labels)
