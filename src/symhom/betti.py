@@ -60,26 +60,31 @@ class BettiTable:
                 and self.weight_cap == other.weight_cap
                 and self.entries == other.entries)
 
+    def to_data(self):
+        """The object to_json prints: both caps and the sorted entries."""
+        return {"deg_cap": self.deg_cap, "weight_cap": self.weight_cap,
+                "entries": [[h, w, d] for (h, w), d in
+                            sorted(self.entries.items())]}
+
     def to_json(self):
-        return json.dumps({
-            "deg_cap": self.deg_cap,
-            "weight_cap": self.weight_cap,
-            "entries": [[h, w, d] for (h, w), d in sorted(self.entries.items())],
-        }, indent=2, sort_keys=True)
+        return json.dumps(self.to_data(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        """The table to_json wrote.  Raises ValueError unless both caps and
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data):
+        """The table to_data made.  Raises ValueError unless both caps and
         every h, w and dimension are ints (a JSON true or 1.0 is not), each
         entry is a dimension >= 0 inside the caps, and no (h, w) repeats."""
-        data = json.loads(text)
         caps = [data["deg_cap"], data["weight_cap"]]
         if type(caps[0]) is not int or type(caps[1]) is not int:
             raise ValueError("caps %r are not ints" % (caps,))
         t = cls(*caps)
         seen = set()
         for h, w, d in data["entries"]:
-            if not all(type(x) is int for x in (h, w, d)) \
+            if not (type(h) is type(w) is type(d) is int) \
                     or (h, w) in seen or not (0 <= h <= t.deg_cap
                                               and 0 <= w <= t.weight_cap):
                 raise ValueError("entry %r is not an int dimension inside "

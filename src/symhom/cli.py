@@ -11,9 +11,12 @@ and refused by the Lie routes.
 
 main(argv) returns the exit code and may be called repeatedly in one
 process: the argument parser is built on the first call and reused.
+argv and each spec of compare are parsed once, by the parser of the
+command argv[0] names or, when it names none, by the top-level parser.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -221,23 +224,19 @@ def _cached_table(args, job, compute):
         return compute()
     digest = _digest(job)
     path = os.path.join(d, digest + ".json")
-    try:
+    try:  # an entry absent, unreadable or not a table: a miss, rewritten
         with open(path) as fh:
             record = json.load(fh)
-    except (OSError, ValueError):
-        record = None  # absent or unreadable: a miss, rewritten below
-    if isinstance(record, dict) and record.get("job") == job:
-        try:
-            table = BettiTable.from_json(json.dumps(record["result"]))
-        except (KeyError, TypeError, ValueError):
-            table = None  # not a table: a miss, rewritten below
-        if table is not None and table.deg_cap == job["deg_cap"] \
-                and table.weight_cap == job["weight_cap"]:
-            return table
+        if record["job"] == job:
+            table = BettiTable.from_data(record["result"])
+            if table.deg_cap == job["deg_cap"] \
+                    and table.weight_cap == job["weight_cap"]:
+                return table
+    except (OSError, KeyError, TypeError, ValueError):
+        pass
     t0 = time.time()
     table = compute()
-    record = {"digest": digest, "job": job,
-              "result": json.loads(table.to_json()),
+    record = {"digest": digest, "job": job, "result": table.to_data(),
               "wall_time": time.time() - t0, "version": __version__}
     # write a private temp file and rename it over the entry, so a reader
     # never sees a half-written entry
@@ -245,7 +244,7 @@ def _cached_table(args, job, compute):
     try:
         os.makedirs(d, exist_ok=True)
         with open(tmp, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(record, sort_keys=True))  # the C encoder
         os.replace(tmp, path)
     except OSError as exc:
         raise ValueError("cache dir %s cannot be written: %s"
@@ -305,15 +304,10 @@ def cmd_hs(args):
     return 0
 
 
-def cmd_hs0(args):
+def cmd_coequalizer(args):
+    coequalizer = hs0_coequalizer if args.command == "hs0" else hc0_coequalizer
     _, A = load(args.input, "algebra", weight_cap=args.weight_cap)
-    _emit_scalar(hs0_coequalizer(A, args.arity_cap), args.format)
-    return 0
-
-
-def cmd_hc0(args):
-    _, A = load(args.input, "algebra", weight_cap=args.weight_cap)
-    _emit_scalar(hc0_coequalizer(A, args.arity_cap), args.format)
+    _emit_scalar(coequalizer(A, args.arity_cap), args.format)
     return 0
 
 
@@ -352,10 +346,14 @@ def cmd_deltas(args):
 
 
 def cmd_compare(args):
-    parser = build_parser()
-    subs = [parser.parse_args(shlex.split(spec))
-            for spec in (args.left, args.right)]
-    if any(sub.func is not cmd_hs for sub in subs):
+    try:  # a spec asking for help or the version exits 0: it is no job
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            subs = [_parse(shlex.split(s)) for s in (args.left, args.right)]
+    except SystemExit as exc:
+        if exc.code:
+            raise
+        subs = ()
+    if not subs or any(sub.func is not cmd_hs for sub in subs):
         raise ValueError("compare expects two hs or hr job specs")
     left, right = (_hs_table(sub) for sub in subs)
     caps = (min(left.deg_cap, right.deg_cap),
@@ -429,13 +427,13 @@ def build_parser():
     common(sp)
     sp.set_defaults(pipeline="dg")
 
-    for name, fn in (("hs0", cmd_hs0), ("hc0", cmd_hc0)):
+    for name in ("hs0", "hc0"):
         sp = sub.add_parser(name, help="degree-0 coequalizer dimension")
         sp.add_argument("input", type=_input_name)
         sp.add_argument("--arity-cap", type=int, default=3)
         sp.add_argument("--weight-cap", type=_at_least(0), default=4)
         common(sp, cached=False)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_coequalizer)
 
     sp = sub.add_parser("ce", help="Chevalley-Eilenberg homology dims")
     sp.add_argument("input", type=_input_name)
@@ -455,7 +453,16 @@ def build_parser():
 
     sp = sub.add_parser("selftest", help="quick consistency checks")
     sp.set_defaults(func=cmd_selftest)
+    p.commands = sub.choices  # command name -> its parser
     return p
+
+
+def _parse(argv):
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
@@ -466,7 +473,7 @@ def main(argv=None):
     print one "error:" line on stderr and no traceback; argparse itself
     exits 2 on an option or input it rejects.
     """
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, IndexError) as exc:

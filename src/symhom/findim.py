@@ -58,14 +58,11 @@ class FinDimAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def multiply_basis(self, i, j):
-        return self.mult.get((i, j), {})
-
     def multiply(self, u, v):
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.multiply_basis(i, j).items():
+                for k, c in self.mult.get((i, j), {}).items():
                     add_term(out, k, a * b * c)
         return out
 
@@ -110,9 +107,15 @@ class FinDimAlgebra:
                         raise ValueError(
                             "product %s*%s not weight-homogeneous"
                             % (self.basis[i], self.basis[j]))
+        mult, zero = self.mult, {}
         for i, j, k in self._triples():
-            lhs = self.multiply(self.multiply_basis(i, j), {k: 1})
-            rhs = self.multiply({i: 1}, self.multiply_basis(j, k))
+            lhs, rhs = {}, {}  # (i j) k and i (j k), straight from mult
+            for m, a in mult.get((i, j), zero).items():
+                for n, b in mult.get((m, k), zero).items():
+                    add_term(lhs, n, a * b)
+            for m, a in mult.get((j, k), zero).items():
+                for n, b in mult.get((i, m), zero).items():
+                    add_term(rhs, n, a * b)
             if lhs != rhs:
                 raise ValueError(
                     "associativity fails on (%s, %s, %s)"

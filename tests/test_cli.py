@@ -355,16 +355,31 @@ def _repeated_entry(record):
     record["result"]["entries"].append(record["result"]["entries"][0])
 
 
+def _list_result(record):
+    record["result"] = []
+
+
+def _string_result(record):
+    record["result"] = "table"
+
+
+def _no_entries(record):
+    del record["result"]["entries"]
+
+
 @pytest.mark.parametrize("damage", [None, _other_job, _bad_entries,
                                     _no_deg_cap, _other_caps,
                                     _past_the_caps, _float_dimension,
                                     _float_position, _bool_position,
-                                    _float_cap, _bool_cap, _repeated_entry],
+                                    _float_cap, _bool_cap, _repeated_entry,
+                                    _list_result, _string_result,
+                                    _no_entries],
                          ids=["truncate", "other-job", "bad-entries",
                               "no-deg-cap", "other-caps", "past-the-caps",
                               "float-dimension", "float-position",
                               "bool-position", "float-cap", "bool-cap",
-                              "repeated-entry"])
+                              "repeated-entry", "list-result",
+                              "string-result", "no-entries"])
 def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
                                                      damage):
     args = ("hs", "dual-numbers", "--pipeline", "dg", "--deg-cap", "1",
@@ -384,6 +399,84 @@ def test_damaged_cache_entry_is_a_miss_and_rewritten(tmp_path, capsys,
     assert json.loads(entry.read_text()) == {
         **json.loads(good), "wall_time": mock.ANY}
     assert os.listdir(tmp_path) == [entry.name]  # no temp file left
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "null", "3", '"text"', '{"result": {}}',
+], ids=["list", "null", "number", "string", "no-job"])
+def test_an_entry_that_is_no_record_is_a_miss_and_rewritten(tmp_path,
+                                                           capsys, text):
+    args = ("hs", "dual-numbers", "--deg-cap", "1", "--weight-cap", "2",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    code1, out1, _ = run(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    good = json.loads(entry.read_text())
+    entry.write_text(text)
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0 and out2 == out1
+    assert json.loads(entry.read_text()) == {**good, "wall_time": mock.ANY}
+
+
+def test_a_fresh_entry_is_one_line_holding_the_table_as_data(tmp_path,
+                                                             capsys):
+    code, out, _ = run(capsys, "hs", "dual-numbers", "--deg-cap", "2",
+                       "--weight-cap", "4", "--format", "json",
+                       "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    text = entry.read_text()
+    record = json.loads(text)
+    assert code == 0 and "\n" not in text
+    assert sorted(record) == ["digest", "job", "result", "version",
+                              "wall_time"]
+    assert record["digest"] + ".json" == entry.name
+    assert record["result"] == json.loads(out)
+    assert text == json.dumps(record, sort_keys=True)
+
+
+def test_an_entry_in_the_pretty_printed_form_is_served_as_it_is(tmp_path,
+                                                                capsys,
+                                                                monkeypatch):
+    # entries were written with indent=2 before they were written compact
+    args = ("hs", "dual-numbers", "--pipeline", "bar", "--deg-cap", "2",
+            "--weight-cap", "4", "--cache-dir", str(tmp_path))
+    for fmt in ("human", "json", "csv"):
+        code1, fresh, _ = run(capsys, *args, "--format", fmt)
+        (entry,) = tmp_path.iterdir()
+        old = json.dumps(json.loads(entry.read_text()), indent=2,
+                         sort_keys=True)
+        entry.write_text(old)
+        with monkeypatch.context() as m:  # a miss would compute and fail
+            m.setitem(cli.PIPELINES, "bar", ("algebra", None))
+            code2, served, _ = run(capsys, *args, "--format", fmt)
+        assert code1 == code2 == 0 and served == fresh
+        assert entry.read_text() == old  # served, not rewritten
+        entry.unlink()
+
+
+@pytest.mark.parametrize("table", [
+    BettiTable(0, 0),
+    BettiTable(2, 3, {(0, 0): 1, (1, 2): 4, (2, 3): 2}),
+    hr_via_bar(dual_numbers_algebra(), 3, 5),
+], ids=["empty", "small", "dual-numbers"])
+def test_a_table_survives_json_and_data(table):
+    assert BettiTable.from_json(table.to_json()) == table
+    assert BettiTable.from_data(table.to_data()) == table
+    assert json.loads(table.to_json()) == table.to_data()
+    # to_json prints sorted keys, an indent of 2 and sorted entries
+    assert table.to_json() == json.dumps(table.to_data(), indent=2,
+                                         sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "hs dual-numbers -h", "hs dual-numbers"],
+    ["compare", "hs dual-numbers", "hr dual-numbers --help"],
+    ["compare", "--", "--version", "hs dual-numbers"],
+    ["compare", "hs dual-numbers", "--", "-h"],
+], ids=["left-help", "right-help", "version", "top-level-help"])
+def test_a_compare_spec_asking_for_help_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: compare expects two hs or hr job specs\n"
 
 
 def test_rewritten_json_input_is_not_served_its_old_entry(tmp_path, capsys):

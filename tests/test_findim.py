@@ -103,10 +103,10 @@ def test_multiply_word_associativity_random():
             if A.truncation is not None and \
                     sum(A.weights[i] for i in word) > A.truncation:
                 continue
-            left = A.multiply(A.multiply_basis(word[0], word[1]),
+            left = A.multiply(A.mult.get((word[0], word[1]), {}),
                               {word[2]: QQ(1)})
             right = A.multiply({word[0]: QQ(1)},
-                               A.multiply_basis(word[1], word[2]))
+                               A.mult.get((word[1], word[2]), {}))
             assert left == right
 
 
@@ -183,7 +183,7 @@ def test_matrix_unit_names_stay_distinct_past_index_9():
     # unpadded, e_{1,11} and e_{11,1} would both be e111
     A = _matrix_units([(1, 1), (1, 11), (11, 1), (11, 11)])
     assert A.basis == ["e0101", "e0111", "e1101", "e1111"]
-    assert A.multiply_basis(A.index["e0111"], A.index["e1101"]) == \
+    assert A.mult[(A.index["e0111"], A.index["e1101"])] == \
         {A.index["e0101"]: 1}
     assert matrix_algebra(3).basis[:3] == ["e11", "e12", "e13"]
 

@@ -137,6 +137,61 @@ def test_every_readme_cli_line_parses():
     assert bad == []
 
 
+# one argv per command, beside the README's lines
+ONE_PER_COMMAND = [
+    ["hs", "poly:2", "--pipeline", "closed-form", "--cache-dir", "D"],
+    ["hr", "dual-numbers", "--format", "csv"],
+    ["hs0", "ut2", "--weight-cap", "2"],
+    ["hc0", "dual-numbers", "--arity-cap", "2", "--format", "json"],
+    ["ce", "sl2"],
+    ["deltaS", "psi", "(x1 x0)|(x2)"],
+    ["compare", "hs sl2", "hr free:1 --n 2"],
+    ["selftest"],
+]
+
+
+def test_main_parses_each_argv_as_the_top_level_parser_does():
+    # every command of a fresh parser hands main's namespace to a recorder
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    handed = []
+    for command in parser.commands.values():
+        command.set_defaults(func=handed.append)
+    argvs = [shlex.split(line)[1:] for line in readme_cli_lines()]
+    argvs += [shlex.split(spec) for argv in argvs if argv[0] == "compare"
+              for spec in argv[1:]]  # compare parses its specs as main does
+    argvs += ONE_PER_COMMAND
+    try:
+        assert {argv[0] for argv in argvs} == set(parser.commands)
+        for argv in argvs:
+            handed.clear()
+            assert cli.main(argv) is None, argv
+            assert [vars(args) for args in handed] == \
+                [vars(parser.parse_args(argv))], argv
+            assert handed[0].command == argv[0]
+    finally:
+        cli.build_parser.cache_clear()  # no later job meets the recorder
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 2, "the following arguments are required: command"),
+    (["no-such-command"], 2, "invalid choice: 'no-such-command'"),
+    (["--version"], 0, ""),
+    (["hs", "dual-numbers", "--no-such-option"], 2,
+     "unrecognized arguments: --no-such-option"),
+], ids=["no-arguments", "unknown-command", "version", "unknown-option"])
+def test_main_exits_where_the_top_level_parser_exits(capsys, argv, code,
+                                                    message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    assert out == ("" if code else symhom.__version__ + "\n")
+    assert message in err and (err == "") == (code == 0)
+    if argv[:1] == ["hs"]:  # the rejecting parser is the command's own
+        assert err.startswith("usage: symhom hs ")
+
+
 def test_console_script_is_cli_main():
     # a regex: tomllib is not in every supported Python
     with open(PYPROJECT) as fh:
@@ -213,6 +268,7 @@ def test_table_computations_leave_no_reference_cycle(job):
 # test that uses it as an oracle, or the benchmark file that hooks it.
 # Anything else a route does not reach is deleted.
 UNREACHED = {
+    "betti.BettiTable.from_json": "perfbench/spans.py",
     "bar.bar_level_basis":
         "tests/test_bar.py::"
         "test_level_zero_basis_is_symmetric_algebra_on_ideal",
