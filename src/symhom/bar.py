@@ -37,7 +37,6 @@ from itertools import chain, product
 from math import comb, prod
 from operator import add
 
-from .betti import BettiTable
 from .linalg import SparseMatrix, add_term, exact, homology_by_blocks
 
 __all__ = ["CapOverflowError", "bar_level_basis", "face_map", "hr_via_bar"]
@@ -279,27 +278,25 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
     if A.truncation is not None and A.truncation < weight_cap:
         raise ValueError("algebra truncated below the requested weight cap")
     cache = {}
-    plain = {}
+    bases = {}
+    levels = []
     total = 0
     for lev in range(deg_cap + 2):
+        plain = []
         for w in range(weight_cap + 1):
-            plain[lev, w] = _weight_monomials(A, ideal, lev, w, cache)
+            plain.append(_weight_monomials(A, ideal, lev, w, cache))
             # the size of its decorated basis (see _decorate): a run of m
             # equal trees takes a multiset of m of the n^2 index pairs
             total += sum(prod(comb(n * n - 1 + mono.count(t), n * n - 1)
                               for t in set(mono))
-                         for mono in plain[lev, w])
+                         for mono in plain[w])
             if total > budget:
                 raise CapOverflowError(
                     "bar complex exceeds budget %d at (level, weight) = "
                     "(%d, %d)" % (budget, lev, w))
-    bases = {}
-    levels = []
-    for lev in range(deg_cap + 2):
-        levels.append(_numbered({t for w in range(weight_cap + 1)
-                                 for mono in plain[lev, w] for t in mono}))
-        for w in range(weight_cap + 1):
-            bases[lev, w] = _decorate(plain.pop((lev, w)), levels[lev], n)
+        levels.append(_numbered({t for mono in chain(*plain) for t in mono}))
+        for w, monos in enumerate(plain):
+            bases[lev, w] = _decorate(monos, levels[lev], n)
     # levels[lev - 1] holds the children of levels[lev]: face 0 of a
     # nondegenerate monomial, its factors' children, is nondegenerate
     tables, _ = _face_tables(A, levels, n)
@@ -327,7 +324,4 @@ def hr_via_bar(A, deg_cap, weight_cap, n=1, budget=DEFAULT_BUDGET):
             tables[lev] = None
         return matrix
 
-    positions = [(lev, w) for lev in range(deg_cap + 1)
-                 for w in range(weight_cap + 1)]
-    return BettiTable(deg_cap, weight_cap,
-                      homology_by_blocks(positions, block, 0, bases))
+    return homology_by_blocks(deg_cap, weight_cap, 0, bases, block)

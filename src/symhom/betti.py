@@ -94,14 +94,20 @@ class BettiTable:
             t.set(h, w, d)
         return t
 
+    def _rows(self):
+        """The cells within the caps as dense rows: rows[h][w]."""
+        rows = [[0] * (self.weight_cap + 1) for _ in range(self.deg_cap + 1)]
+        for (h, w), d in self.entries.items():
+            if 0 <= h <= self.deg_cap and 0 <= w <= self.weight_cap:
+                rows[h][w] = d
+        return rows
+
     def to_csv(self):
         """CSV with rows = hdeg, columns = weight."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["hdeg"] + list(range(self.weight_cap + 1)))
-        for h in range(self.deg_cap + 1):
-            writer.writerow([h] + [self.get(h, w)
-                                   for w in range(self.weight_cap + 1)])
+        writer.writerows([h] + row for h, row in enumerate(self._rows()))
         return buf.getvalue()
 
     def render(self):
@@ -111,9 +117,8 @@ class BettiTable:
         header = "h\\w " + " ".join(str(w).rjust(widths)
                                     for w in range(self.weight_cap + 1))
         lines.append(header + "  total")
-        for h in range(self.deg_cap + 1):
-            row = " ".join(
-                (str(self.get(h, w)) if self.get(h, w) else ".").rjust(widths)
-                for w in range(self.weight_cap + 1))
-            lines.append("%-3d %s  %5d" % (h, row, self.degree_total(h)))
+        for h, row in enumerate(self._rows()):
+            cells = " ".join((str(d) if d else ".").rjust(widths)
+                             for d in row)
+            lines.append("%-3d %s  %5d" % (h, cells, sum(row)))
         return "\n".join(lines)

@@ -14,15 +14,14 @@ freealg.grading_shifts checks the grading of both classes; here the
 sorted differential must shift weight by one fixed amount (0 for honest
 weight gradings, -1 for the abelianized cobar of a plain Lie algebra).
 
-homology_table hands its blocks to linalg.homology_by_blocks, which
-builds and ranks each nonzero block once.  The block bases come from one
-enumeration of the box the call needs (monomial_bases), which visits each
-monomial of the box once and lives only for that call.
+homology_table is one call to linalg.homology_by_blocks, which builds
+and ranks each nonzero block once and returns the table.  Its bases come
+from one enumeration of the box the call needs (monomial_bases), which
+visits each monomial of the box once and lives only for that call.
 """
 
 from bisect import bisect_left
 
-from .betti import BettiTable
 from .freealg import grading_shifts
 from .linalg import SparseMatrix, add_term, exact_vector, homology_by_blocks
 
@@ -174,11 +173,9 @@ class CommDGAlgebra:
         basis."""
         bases = self.monomial_bases(deg_cap + 1,
                                     weight_cap - self.weight_shift)
-        positions = [(h, w) for h in range(deg_cap + 1)
-                     for w in range(weight_cap + 1)]
-        return BettiTable(deg_cap, weight_cap, homology_by_blocks(
-            positions, lambda h, w: self.block_matrix(h, w, bases),
-            self.weight_shift, bases))
+        return homology_by_blocks(
+            deg_cap, weight_cap, self.weight_shift, bases,
+            lambda h, w: self.block_matrix(h, w, bases))
 
 
 def abelianize(R):

@@ -11,7 +11,8 @@ with bracket contraction, and the reduced coproduct is the unshuffle.
 DGLie.validate checks the Lie axioms as d^2 = 0 on wedge words of length
 <= 3, and each route reads its wedge words from one monomial_bases box.
 Longer words need no check of their own: linalg.homology_by_blocks checks
-d o d = 0 on every block a table uses.
+d o d = 0 on every block a table uses, and CE homology is one such table
+(_ce_dims), summed by degree in ce_homology.
 The cobar construction is freealg.cobar on the CE coalgebra (that
 function alone writes the desuspension sign); its abelianization is
 weight-graded by exterior length (the differential drops it by exactly
@@ -195,11 +196,12 @@ def ce_complex(a):
 
 
 def _ce_dims(a, cap):
-    """CE homology dimensions {(h, ell): dim} through degree cap (unreduced).
+    """BettiTable of CE homology, (h, ell), through degree cap (unreduced).
 
     ell is exterior length, which d shifts by -1 (pure bracket) or by 0
     (pure internal d).  A d with both parts is graded by degree alone,
-    with every word at ell = 0.
+    with every word at ell = 0.  A word of degree h has length <= h, so
+    the weight cap cap + 1 leaves out no block a degree <= cap reads.
     """
     C = ce_complex(a)
     bases = C.alg.monomial_bases(cap + 1, cap + 1)
@@ -210,16 +212,15 @@ def _ce_dims(a, cap):
                                 if hh == h for w in words)
                  for h in range(cap + 2)}
     return homology_by_blocks(
-        sorted(pos for pos in bases if pos[0] <= cap),
+        cap, cap + 1, shift, bases,
         lambda h, ell: SparseMatrix.from_images(
-            bases[h, ell], bases[h - 1, ell + shift], C.diff), shift, bases)
+            bases[h, ell], bases[h - 1, ell + shift], C.diff))
 
 
 def ce_homology(a, cap):
     """Dimensions of CE homology H_i(a; k) for i = 0..cap (unreduced)."""
     dims = _ce_dims(a, cap)
-    return [sum(dim for (h, _), dim in dims.items() if h == i)
-            for i in range(cap + 1)]
+    return [dims.degree_total(i) for i in range(cap + 1)]
 
 
 # cobar ------------------------------------------------------------------
@@ -258,7 +259,7 @@ def hs_env_closed_form(a, deg_cap, weight_cap):
             "differential")
     # the unreduced H_0 = k contributes the algebra unit
     gens = [GeneratorSpec("u%d_%d_%d" % (h, ell, r), h - 1, ell)
-            for (h, ell), dim in sorted(_ce_dims(a, deg_cap + 1).items())
+            for (h, ell), dim in _ce_dims(a, deg_cap + 1).entries.items()
             if h for r in range(dim)]
     bases = CommDGAlgebra(gens).monomial_bases(deg_cap, weight_cap)
     return BettiTable(deg_cap, weight_cap,

@@ -28,20 +28,20 @@ the rank (their number) and quotient normal forms (reduction by them,
 QuotientSpace).
 
 homology_by_blocks is the one homology loop of the package: given the
-positions of a bigraded complex, its groups' bases and a block builder,
-it builds and ranks each nonzero block once and checks d . d = 0 at
-every position whose two blocks are nonzero.  It ranks d_in: C_in ->
-C_mid without the rows at the pivot columns of d_out: C_mid -> C_out
-(clearing, de Silva-Morozov-Vejdemo-Johansson 2011).  Those columns are
-independent, so deleting their coordinates is injective on ker d_out,
-which holds im d_in when d_out . d_in = 0: the rank is unchanged.  So a
-block is cleared only where its product with d_out is checked, and a
-block ranked before the one below it is ranked whole.
+caps of a bigraded complex, its weight shift, its groups' bases and a
+block builder, it visits every position of the box by degree, then by
+weight, builds and ranks each nonzero block once, checks d . d = 0 at
+every position whose two blocks are nonzero, and returns the BettiTable.
+It ranks d_in: C_in -> C_mid without the rows at the pivot columns of
+d_out: C_mid -> C_out, which it ranked first (clearing, de
+Silva-Morozov-Vejdemo-Johansson 2011).  Those columns are independent,
+so deleting their coordinates is injective on ker d_out, which holds im
+d_in when d_out . d_in = 0: the rank is unchanged.
 """
 
-from collections import Counter
 from heapq import heappop, heappush
 
+from .betti import BettiTable
 from .rationals import QQ
 
 __all__ = [
@@ -300,57 +300,56 @@ def homology_dim(d_out, d_in):
     blocks = (d_out, d_in)
     groups = {(-1, 0): range(d_out.rows), (0, 0): range(d_out.cols),
               (1, 0): range(d_in.cols)}
-    return homology_by_blocks([(0, 0)], lambda h, w: blocks[h], 0,
-                              groups)[(0, 0)]
+    return homology_by_blocks(0, 0, 0, groups,
+                              lambda h, w: blocks[h]).get(0, 0)
 
 
-def homology_by_blocks(positions, block, shift, bases):
-    """{(h, w): dim H_{h,w}} of a bigraded complex at the given positions.
+def homology_by_blocks(deg_cap, weight_cap, shift, bases, block):
+    """BettiTable of a bigraded complex at every (h, w) within the caps.
 
     bases maps (h, w) to the basis of C_{h,w} (none: a zero group), and
     block(h, w) is the matrix of d: C_{h,w} -> C_{h-1,w+shift} on them.
-    Per call, a block between two nonzero groups is built whole, checked
-    against its bases' shape and ranked once, and dropped when no later
-    position needs it; d . d = 0 is checked at every position whose two
-    blocks are nonzero.  No other block is built: it is zero, since every
-    route's d is graded where its input enters (freealg.grading_shifts
-    checks hdeg - 1 and one weight shift, bar faces lower the level and
-    keep the weight, CE is graded by construction) and each group holds
-    every monomial of its bidegree.  A block first ranked where d_out
-    below it is ranked too leaves out its rows at d_out's pivot columns
-    (clearing, see above).  Raises ValueError when a block's shape is not
-    len(target) x len(source), and CompositionNonZeroError when d . d != 0
-    at a position or a dimension comes out negative.
+    Positions are visited by h, then by w.  At (h, w), d_in = block
+    (h + 1, w - shift) is ranked after d_out = block (h, w), without the
+    rows at d_out's pivot columns (clearing, see above), and held until
+    it is d_out at its own position, or dropped at once outside the caps.
+    Only a block between two nonzero groups is built, once, and checked
+    against its bases' shape; the others are zero, since every route's d
+    is graded where its input enters (freealg.grading_shifts checks
+    hdeg - 1 and one weight shift, bar faces lower the level and keep the
+    weight, CE is graded by construction) and each group holds every
+    monomial of its bidegree.  Raises ValueError when a block's shape is
+    not len(target) x len(source), and CompositionNonZeroError when a
+    dimension comes out negative or d . d != 0 at a position.
     """
-    pairs = [((h, w), (h + 1, w - shift)) for h, w in positions]
-    uses = Counter((h, w) for pair in pairs for h, w in pair
-                   if bases.get((h, w)) and bases.get((h - 1, w + shift)))
-    blocks = {}
-    pivots = {}
-    ranks = {}
-    out = {}
-    for (h, w), pair in zip(positions, pairs):
-        dim = len(bases.get((h, w), ()))
-        built = [key for key in pair if key in uses]
-        for key in built:
-            if key not in ranks:
-                M = blocks[key] = block(*key)
-                tgt = bases[key[0] - 1, key[1] + shift]
-                if (M.rows, M.cols) != (len(tgt), len(bases[key])):
-                    raise ValueError("block %r has the wrong shape" % (key,))
-                cleared = pivots.get(pair[0], ())  # d_out's, key = pair[1]
-                ranks[key] = rank(M, cleared, pivots.setdefault(key, set()))
-            dim -= ranks[key]
-        if len(built) == 2 and \
-                not blocks[pair[0]].matmul(blocks[pair[1]]).is_zero():
-            raise CompositionNonZeroError(
-                "d_out . d_in != 0 at (%d, %d): not a complex" % (h, w))
-        if dim < 0:
-            raise CompositionNonZeroError(
-                "negative homology dimension at (%d, %d)" % (h, w))
-        out[(h, w)] = dim
-        for key in built:
-            uses[key] -= 1
-            if not uses[key]:
-                del blocks[key], pivots[key]
-    return out
+    table = BettiTable(deg_cap, weight_cap)
+    held = {}  # (h, w) -> (block, rank, pivot columns), from d_in to d_out
+    for h in range(deg_cap + 1):
+        for w in range(weight_cap + 1):
+            dim = len(bases.get((h, w), ()))
+            cleared, pair = (), []
+            for a, b in (h, w), (h + 1, w - shift):
+                done = held.pop((a, b), None)
+                src, tgt = bases.get((a, b)), bases.get((a - 1, b + shift))
+                if done is None and src and tgt:
+                    M = block(a, b)
+                    if (M.rows, M.cols) != (len(tgt), len(src)):
+                        raise ValueError("block (%d, %d) has the wrong shape"
+                                         % (a, b))
+                    pivots = set()
+                    done = M, rank(M, cleared, pivots), pivots
+                if done:
+                    dim -= done[1]
+                    cleared = done[2]
+                pair.append(done)
+            d_out, d_in = pair
+            if d_out and d_in and not d_out[0].matmul(d_in[0]).is_zero():
+                raise CompositionNonZeroError(
+                    "d_out . d_in != 0 at (%d, %d): not a complex" % (h, w))
+            if dim < 0:
+                raise CompositionNonZeroError(
+                    "negative homology dimension at (%d, %d)" % (h, w))
+            table.set(h, w, dim)
+            if d_in and h < deg_cap and w - shift <= weight_cap:
+                held[h + 1, w - shift] = d_in
+    return table

@@ -350,11 +350,11 @@ def test_blocks_match_the_per_monomial_faces(A, caps, monkeypatch):
     blocks = {}
     real = bar.homology_by_blocks
 
-    def recording(positions, block, shift, bases):
+    def recording(deg_cap, weight_cap, shift, bases, block):
         def kept(lev, w):
             blocks[lev, w] = block(lev, w)
             return blocks[lev, w]
-        return real(positions, kept, shift, bases)
+        return real(deg_cap, weight_cap, shift, bases, kept)
 
     monkeypatch.setattr(bar, "homology_by_blocks", recording)
     for n, (deg_cap, weight_cap) in caps.items():

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from symhom import linalg
+from symhom import cli, linalg
 from symhom.bar import bar_level_basis, face_map, hr_via_bar
+from symhom.betti import BettiTable
 from symhom.commalg import abelianize
 from symhom.findim import dual_numbers_algebra, free_tensor_algebra
 from symhom.freealg import dual_numbers_resolution
@@ -297,9 +299,9 @@ def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
     ranked = []
     real_rank = linalg.rank
 
-    def counting_rank(M, *args):
-        ranked.append(M)
-        return real_rank(M, *args)
+    def counting_rank(M, cleared=(), pivots=None):
+        ranked.append((cleared, pivots))
+        return real_rank(M, cleared, pivots)
 
     def block(h, w):
         built.append((h, w))
@@ -307,22 +309,30 @@ def test_homology_by_blocks_builds_and_ranks_each_block_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", counting_rank)
     positions = [(h, w) for h in range(4) for w in range(4)]
-    dims = homology_by_blocks(positions, block, 0, simplex_groups(4, 3))
+    dims = homology_by_blocks(3, 3, 0, simplex_groups(4, 3), block)
     # a simplex is connected and acyclic
-    assert dims == {(h, w): int(h == 0) for h, w in positions}
+    assert dims == BettiTable(3, 3, {(h, w): int(h == 0)
+                                     for h, w in positions})
     # exactly the blocks between two nonzero groups: h-faces exist for
     # h <= w, and (h-1)-faces for h >= 1; blocks (0, w) and (4, w) are not
     assert sorted(built) == [(h, w) for h in range(1, 5)
                              for w in range(4) if h <= w]
     assert len(ranked) == len(built)
+    # each block is ranked as it is built; one whose d_out below it was
+    # built is ranked without the rows at d_out's pivot columns, and one
+    # with no d_out is ranked whole
+    by_block = dict(zip(built, ranked))
+    for (h, w), (cleared, _) in by_block.items():
+        below = by_block.get((h - 1, w))
+        assert set(cleared) == (below[1] if below else set()), (h, w)
+    assert any(cleared for cleared, _ in ranked)
 
 
 def test_homology_by_blocks_rejects_non_complex():
-    positions = [(h, w) for h in range(3) for w in range(3)]
     with pytest.raises(CompositionNonZeroError):
         homology_by_blocks(
-            positions, lambda h, w: simplex_boundary(h, w, signed=False), 0,
-            simplex_groups(3, 2))
+            2, 2, 0, simplex_groups(3, 2),
+            lambda h, w: simplex_boundary(h, w, signed=False))
 
 
 def test_homology_by_blocks_rejects_a_block_of_the_wrong_shape():
@@ -330,8 +340,8 @@ def test_homology_by_blocks_rejects_a_block_of_the_wrong_shape():
     # built that would fail to compose with it
     bases = {(0, 0): "ab", (1, 0): "xyz"}
     with pytest.raises(ValueError):
-        homology_by_blocks([(1, 0)], lambda h, w: dense([[1, 0], [0, 1]]),
-                           0, bases)
+        homology_by_blocks(1, 0, 0, bases,
+                           lambda h, w: dense([[1, 0], [0, 1]]))
 
 
 # clearing --------------------------------------------------------------
@@ -391,7 +401,34 @@ def test_d_squared_is_checked_on_a_row_that_clearing_drops():
     blocks = {1: dense([[1, 0]]), 2: dense([[1], [0]])}
     bases = {(0, 0): "a", (1, 0): "bc", (2, 0): "d"}
     with pytest.raises(CompositionNonZeroError):
-        homology_by_blocks([(1, 0)], lambda h, w: blocks[h], 0, bases)
+        homology_by_blocks(1, 0, 0, bases, lambda h, w: blocks[h])
+
+
+# one route's small input per kind of cli.PIPELINES
+ROUTE_INPUTS = {"resolution": lambda: dual_numbers_resolution(4),
+                "algebra": dual_numbers_algebra, "lie": sl2}
+RANKED_JOBS = {
+    "%s-n%d" % (name, n): (lambda route=route, kind=kind, n=n:
+                           route(ROUTE_INPUTS[kind](), 2, 3, n))
+    for name, (kind, route) in cli.PIPELINES.items()
+    for n in ((1,) if kind == "lie" else (1, 2))}
+RANKED_JOBS["ce_homology"] = lambda: ce_homology(sl2(), 3)
+
+
+@pytest.mark.parametrize("job", sorted(RANKED_JOBS))
+def test_every_rank_of_a_route_runs_inside_the_homology_loop(monkeypatch,
+                                                             job):
+    callers = []
+    real_rank = linalg.rank
+
+    def checked_rank(M, *args):
+        callers.append(sys._getframe(1).f_code)
+        return real_rank(M, *args)
+
+    monkeypatch.setattr(linalg, "rank", checked_rank)
+    RANKED_JOBS[job]()
+    assert callers
+    assert set(callers) == {linalg.homology_by_blocks.__code__}
 
 
 # integral scalars ------------------------------------------------------
